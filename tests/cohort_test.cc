@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -273,6 +277,121 @@ TEST(CohortEngine, DeterministicAcrossRuns) {
   const expr::ExperimentResult b = expr::ExperimentRunner::run(cfg);
   expect_identical_results(a, b);
 }
+
+// ----------------------------------------------------- pinned cohort outputs
+
+/// FNV-1a over the bit patterns of every (time, value) sample of `series`,
+/// folded into `hash`: equal digests mean every sample is bit-identical.
+std::uint64_t fold_series(std::uint64_t hash, const util::TimeSeries& series) {
+  const auto fold = [&hash](double x) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  fold(static_cast<double>(series.size()));
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    fold(series.time_at(i));
+    fold(series.value_at(i));
+  }
+  return hash;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// Exact outputs of a small forced-cohort run. No committed golden runs the
+/// cohort engine, so this pin is what holds its outputs bit-stable.
+struct CohortPin {
+  StreamingMode mode;
+  long arrivals, departures, chunk_downloads, late_downloads,
+      buffered_replays, rejected_plans;
+  std::uint64_t sim_events;
+  long final_users;
+  double vm_cost_total, storage_cost_total;
+  /// reserved, used cloud, used peer, quality, vm cost, storage cost, users.
+  std::array<std::uint64_t, 7> system;
+  /// size, quality, provisioned, storage utility, vm utility — each folded
+  /// over the channels in order.
+  std::array<std::uint64_t, 5> channel;
+};
+
+void PrintTo(const CohortPin& pin, std::ostream* os) {
+  *os << (pin.mode == StreamingMode::kP2p ? "p2p" : "cs");
+}
+
+class CohortPinned : public ::testing::TestWithParam<CohortPin> {};
+
+TEST_P(CohortPinned, OutputsAreBitStable) {
+  const CohortPin& pin = GetParam();
+  expr::ExperimentConfig cfg = small_config(pin.mode);
+  cfg.engine = expr::Engine::kCohort;
+  cfg.workload.total_arrival_rate = 1.0;
+  const expr::ExperimentResult r = expr::ExperimentRunner::run(cfg);
+  const vod::SystemMetrics& m = r.metrics;
+
+  EXPECT_EQ(m.counters.arrivals, pin.arrivals);
+  EXPECT_EQ(m.counters.departures, pin.departures);
+  EXPECT_EQ(m.counters.chunk_downloads, pin.chunk_downloads);
+  EXPECT_EQ(m.counters.late_downloads, pin.late_downloads);
+  EXPECT_EQ(m.counters.buffered_replays, pin.buffered_replays);
+  EXPECT_EQ(m.counters.rejected_plans, pin.rejected_plans);
+  EXPECT_EQ(r.sim_events, pin.sim_events);
+  EXPECT_EQ(r.final_users, pin.final_users);
+  EXPECT_EQ(r.vm_cost_total, pin.vm_cost_total);
+  EXPECT_EQ(r.storage_cost_total, pin.storage_cost_total);
+
+  const util::TimeSeries* system[] = {
+      &m.reserved_mbps, &m.used_cloud_mbps,   &m.used_peer_mbps,
+      &m.quality,       &m.vm_cost_rate,      &m.storage_cost_rate,
+      &m.concurrent_users};
+  for (std::size_t s = 0; s < pin.system.size(); ++s) {
+    EXPECT_EQ(fold_series(kFnvBasis, *system[s]), pin.system[s])
+        << "system series " << s;
+  }
+  ASSERT_EQ(m.channels.size(), 3u);
+  std::array<std::uint64_t, 5> channel;
+  channel.fill(kFnvBasis);
+  for (const vod::ChannelSeries& ch : m.channels) {
+    const util::TimeSeries* series[] = {&ch.size, &ch.quality,
+                                        &ch.provisioned_mbps,
+                                        &ch.storage_utility, &ch.vm_utility};
+    for (std::size_t s = 0; s < channel.size(); ++s) {
+      channel[s] = fold_series(channel[s], *series[s]);
+    }
+  }
+  for (std::size_t s = 0; s < pin.channel.size(); ++s) {
+    EXPECT_EQ(channel[s], pin.channel[s]) << "channel series " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, CohortPinned,
+    ::testing::Values(
+        CohortPin{StreamingMode::kClientServer,
+                  9195, 7138, 41605, 0, 7823, 0, 1911, 2057,
+                  0x1.931999999999ap+6, 0x1.05e1c15097c81p-12,
+                  {0x8eb6c075a1fa7039ull, 0x722466a0b4fee93dull,
+                   0x9abd124b5cc37019ull, 0xada2b43a95493215ull,
+                   0x45a97964ce341ab7ull, 0x85f35cdae456a3b4ull,
+                   0xc4f881052f33280eull},
+                  {0xa263f4c9f663cdd7ull, 0xf0e11be3f0f847d5ull,
+                   0xcd4588fbd254e180ull, 0x735e88187c7690f7ull,
+                   0xd57d8cc9189bffe6ull}},
+        CohortPin{StreamingMode::kP2p,
+                  9195, 7134, 41599, 516, 7806, 0, 1895, 2061,
+                  0x1.9333333333334p+2, 0x1.05e1c15097c81p-12,
+                  {0x32fd36d8d57108a9ull, 0x44d1685e3645aa02ull,
+                   0x1124b44d8d826f78ull, 0x0b1f880f0eb82ab4ull,
+                   0xc77dd64afd8113d3ull, 0x85f35cdae456a3b4ull,
+                   0x30202433f96c3845ull},
+                  {0xaf9e4a9329480702ull, 0x8f7daecfaf663ae6ull,
+                   0xc3b3118bd038ca8cull, 0xac3bae1fef81d551ull,
+                   0xe8629f97acae4b57ull}}),
+    [](const ::testing::TestParamInfo<CohortPin>& info) {
+      return info.param.mode == StreamingMode::kP2p ? "P2p" : "ClientServer";
+    });
 
 // --------------------------------------------------- cohort mass accounting
 
