@@ -31,7 +31,6 @@ if(CLOUDMEDIA_BUILD_EXAMPLES)
 endif()
 
 if(CLOUDMEDIA_BUILD_TOOLS)
-  add_smoke_test(diag_hourly tool_diag_hourly --hours=2 --seed=42)
   # The sweep_demo golden preset (the same grid the goldens/ snapshot
   # pins); CI uploads its CSV/JSON.
   add_smoke_test(sweep_demo tool_sweep --golden=sweep_demo --threads=4

@@ -17,14 +17,16 @@
 #              scale: bench_store_smoke (streaming-RSS gates),
 #              bench_cohort_smoke (10M-viewer day), bench_discrete_smoke
 #              (events/s >= 2x the pre-overhaul baseline + RSS cap). Each
-#              writes its BENCH_*.json under <build-dir>/artifacts/.
+#              writes its BENCH_*.json under <build-dir>/artifacts/. Then
+#              the benchmark's own Release build (perfbench/ into
+#              .bench_build/) and its test suite, as CI runs them.
 #
 # The selected tier's exit code is the script's exit code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 MODE=full
@@ -127,6 +129,15 @@ case "$MODE" in
     echo "== bench_discrete_smoke (events/s >= 2x baseline) =="
     "$BUILD_DIR/bench/bench_discrete_smoke" \
       --out="$OUT/BENCH_discrete.json" || rc=1
+    # The benchmark builds StreamingSystem and CohortSystem from the
+    # public vod headers: a vod API change that breaks it fails here.
+    echo "== perfbench build + tests =="
+    if cmake -S perfbench -B .bench_build -G Ninja -DCMAKE_BUILD_TYPE=Release \
+        && cmake --build .bench_build; then
+      ctest --test-dir .bench_build --output-on-failure || rc=1
+    else
+      rc=1
+    fi
     ;;
 esac
 

@@ -9,7 +9,7 @@
 #include "core/controller.h"
 #include "core/params.h"
 #include "predict/forecaster.h"
-#include "vod/streaming_system.h"
+#include "vod/system.h"
 #include "workload/scenario.h"
 
 namespace cloudmedia::expr {

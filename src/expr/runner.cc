@@ -10,6 +10,7 @@
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "vod/cohort_system.h"
+#include "vod/streaming_system.h"
 
 namespace cloudmedia::expr {
 
@@ -278,17 +279,16 @@ ExperimentResult ExperimentRunner::run(const ExperimentConfig& config) {
       (live.engine == Engine::kAuto &&
        estimated_peak_users(live) >= live.cohort_threshold);
 
-  std::unique_ptr<vod::StreamingSystem> discrete_system;
-  std::unique_ptr<vod::CohortSystem> cohort_system;
+  std::unique_ptr<vod::System> system;
   if (use_cohort) {
     vod::CohortOptions cohort_options;
     cohort_options.streaming = options;
     cohort_options.window = live.cohort_window;
-    cohort_system = std::make_unique<vod::CohortSystem>(
+    system = std::make_unique<vod::CohortSystem>(
         simulator, workload, live.vod, cloud, std::move(controller),
         cohort_options);
   } else {
-    discrete_system = std::make_unique<vod::StreamingSystem>(
+    system = std::make_unique<vod::StreamingSystem>(
         simulator, workload, live.vod, cloud, std::move(controller), options);
   }
 
@@ -315,16 +315,11 @@ ExperimentResult ExperimentRunner::run(const ExperimentConfig& config) {
         });
   }
 
-  if (cohort_system) {
-    cohort_system->start();
-  } else {
-    discrete_system->start();
-  }
+  system->start();
   simulator.run_until(live.total_duration());
 
   ExperimentResult result;
-  result.metrics =
-      cohort_system ? cohort_system->metrics() : discrete_system->metrics();
+  result.metrics = system->metrics();
   result.measure_start = live.measure_start();
   result.measure_end = live.total_duration();
   result.vm_cost_total = cloud.billing().total("vm");
@@ -335,9 +330,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentConfig& config) {
   result.vm_boots = cloud.vm_monitor().total_boots();
   result.vm_shutdowns = cloud.vm_monitor().total_shutdowns();
   result.sim_events = simulator.events_processed();
-  result.final_users = static_cast<long>(
-      cohort_system ? cohort_system->current_users()
-                    : discrete_system->current_users());
+  result.final_users = static_cast<long>(system->current_users());
   result.used_cohort_engine = use_cohort;
   return result;
 }

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/log.h"
-#include "util/units.h"
 
 namespace cloudmedia::vod {
 
@@ -27,50 +25,18 @@ CohortSystem::CohortSystem(sim::Simulator& simulator,
                            cloud::CloudService& cloud,
                            std::unique_ptr<core::Controller> controller,
                            CohortOptions options)
-    : sim_(&simulator),
-      workload_(&workload),
-      params_(params),
-      cloud_(&cloud),
-      controller_(std::move(controller)),
-      options_(options),
-      num_channels_(workload.num_channels()),
-      num_chunks_(params.chunks_per_video),
-      tracker_(workload.num_channels(), params.chunks_per_video),
-      entry_point_(options.streaming.entry) {
-  params_.validate();
-  CM_EXPECTS(controller_ != nullptr);
-  CM_EXPECTS(workload.config().chunks_per_video == params.chunks_per_video);
-  CM_EXPECTS(options_.streaming.provisioning_interval > 0.0);
-  CM_EXPECTS(options_.streaming.rebalance_interval > 0.0);
-  CM_EXPECTS(options_.streaming.sample_interval > 0.0);
-  CM_EXPECTS(options_.window > 0.0);
-  CM_EXPECTS(options_.min_mass > 0.0);
-
-  const std::size_t total = static_cast<std::size_t>(num_channels_) *
-                            static_cast<std::size_t>(num_chunks_);
-  pools_.reserve(total);
-  for (std::size_t k = 0; k < total; ++k) {
-    // The cohort engine never enqueues discrete jobs, so the completion
-    // handler is unreachable; pools exist for capacity splitting, fluid
-    // processor sharing, and byte accounting.
-    pools_.push_back(std::make_unique<ServicePool>(
-        simulator, params_.vm_bandwidth,
-        [](const ServicePool::Completion&) {}));
-  }
-  served_cloud_snapshot_.assign(total, 0.0);
-  fluid_share_.assign(total, 0.0);
+    : System(simulator, workload, params, cloud, std::move(controller),
+             options.streaming,
+             // No completion route: the cohort engine never enqueues
+             // discrete jobs; the pools exist for capacity splitting, fluid
+             // processor sharing, and byte accounting.
+             nullptr),
+      window_(options.window),
+      min_mass_(options.min_mass) {
+  CM_EXPECTS(window_ > 0.0);
+  CM_EXPECTS(min_mass_ > 0.0);
   channel_mass_.assign(static_cast<std::size_t>(num_channels_), 0.0);
-  metrics_.channels.resize(static_cast<std::size_t>(num_channels_));
   refresh_behavior_cache();
-
-  cloud_->vm_scheduler().set_capacity_listener([this] { rebalance_capacity(); });
-}
-
-std::size_t CohortSystem::pool_index(int channel, int chunk) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
-  CM_EXPECTS(chunk >= 0 && chunk < num_chunks_);
-  return static_cast<std::size_t>(channel) * static_cast<std::size_t>(num_chunks_) +
-         static_cast<std::size_t>(chunk);
 }
 
 std::size_t CohortSystem::cell(std::size_t slot, int chunk) const {
@@ -78,17 +44,13 @@ std::size_t CohortSystem::cell(std::size_t slot, int chunk) const {
          static_cast<std::size_t>(chunk);
 }
 
-ServicePool& CohortSystem::pool(int channel, int chunk) {
-  return *pools_[pool_index(channel, chunk)];
-}
-
-std::size_t CohortSystem::current_users() const noexcept {
-  return static_cast<std::size_t>(std::llround(std::max(0.0, total_mass_)));
-}
-
 double CohortSystem::channel_viewer_mass(int channel) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
+  check_channel(channel);
   return channel_mass_[static_cast<std::size_t>(channel)];
+}
+
+double CohortSystem::peak_viewer_mass() const {
+  return std::max(0.0, metrics_.concurrent_users.max_value());
 }
 
 void CohortSystem::refresh_behavior_cache() {
@@ -105,38 +67,13 @@ void CohortSystem::refresh_behavior_cache() {
   }
 }
 
-void CohortSystem::start() {
-  CM_EXPECTS(!started_);
-  started_ = true;
-
+void CohortSystem::start_population() {
   for (int c = 0; c < num_channels_; ++c) {
-    arrivals_.push_back(workload_->make_cohort_arrivals(c, options_.window));
-  }
-
-  const double t0 = sim_->now();
-  const vod::StreamingOptions& streaming = options_.streaming;
-  if (streaming.bootstrap_plan) {
-    sim_->schedule_at(t0, [this] {
-      const core::ProvisioningPlan plan = controller_->plan(bootstrap_report());
-      apply_plan(plan);
-      record_plan_series(sim_->now());
-    });
+    arrivals_.push_back(workload_->make_cohort_arrivals(c, window_));
   }
   // Arrival windows: the tick at t covers [t, t + window).
-  sim_->schedule_periodic(t0, options_.window,
+  sim_->schedule_periodic(sim_->now(), window_,
                           [this](double t) { window_tick(t); });
-  sim_->schedule_periodic(t0 + streaming.provisioning_interval,
-                          streaming.provisioning_interval,
-                          [this](double t) { run_provisioning(t); });
-  sim_->schedule_periodic(t0 + streaming.rebalance_interval,
-                          streaming.rebalance_interval,
-                          [this](double) { rebalance_capacity(); });
-  sim_->schedule_periodic(t0 + streaming.sample_interval,
-                          streaming.sample_interval,
-                          [this](double t) { sample_bandwidth(t); });
-  sim_->schedule_periodic(t0 + streaming.quality_interval,
-                          streaming.quality_interval,
-                          [this](double t) { sample_quality(t); });
 }
 
 std::size_t CohortSystem::allocate_slot() {
@@ -214,7 +151,7 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   }
   const int c = channel_of_[slot];
   const double alive = alive_[slot];
-  if (alive < options_.min_mass) {
+  if (alive < min_mass_) {
     retire(slot);
     return;
   }
@@ -289,7 +226,7 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   total_mass_ += stay_total - alive;
   sync_counters();
 
-  if (stay_total < options_.min_mass) {
+  if (stay_total < min_mass_) {
     retire(slot);
     return;
   }
@@ -328,44 +265,13 @@ void CohortSystem::sync_counters() {
   metrics_.counters.buffered_replays = std::lround(replays_mass_);
 }
 
-// --- provisioning loop ------------------------------------------------------
+// --- population hooks -------------------------------------------------------
 
-core::TrackerReport CohortSystem::bootstrap_report() const {
-  // Same prior and window-labelling convention as
-  // StreamingSystem::bootstrap_report (see its declaration).
-  core::TrackerReport report;
-  report.interval_start = sim_->now();
-  report.interval_length = options_.streaming.provisioning_interval;
-  report.channels.resize(static_cast<std::size_t>(num_channels_));
-  const workload::ViewingBehavior& behavior = workload_->config().behavior;
-  const util::Matrix transfer = behavior.transfer_matrix(num_chunks_);
-  const std::vector<double> entry = behavior.entry_distribution(num_chunks_);
-  const double uplink_mean = workload_->uplink_distribution().mean();
-  for (int c = 0; c < num_channels_; ++c) {
-    core::ChannelObservation& obs = report.channels[static_cast<std::size_t>(c)];
-    obs.arrival_rate = workload_->channel_rate(c, sim_->now());
-    obs.transfer = transfer;
-    obs.entry = entry;
-    obs.occupancy.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.served_cloud_bandwidth.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.mean_peer_uplink = uplink_mean;
-  }
-  return report;
-}
-
-void CohortSystem::run_provisioning(double now) {
-  const double interval = options_.streaming.provisioning_interval;
-
-  std::vector<std::vector<double>> occupancy(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
-  std::vector<double> mean_uplink(static_cast<std::size_t>(num_channels_), 0.0);
-  std::vector<std::vector<double>> served(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
+void CohortSystem::observe_population(
+    std::vector<std::vector<double>>& occupancy,
+    std::vector<double>& mean_uplink) const {
   std::vector<double> uplink_weighted(static_cast<std::size_t>(num_channels_),
                                       0.0);
-
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     if (!live_[slot]) continue;
     const auto ch = static_cast<std::size_t>(channel_of_[slot]);
@@ -374,72 +280,22 @@ void CohortSystem::run_provisioning(double now) {
     }
     uplink_weighted[ch] += alive_[slot] * uplink_rate_[slot];
   }
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
-    for (int i = 0; i < num_chunks_; ++i) {
-      ServicePool& p = pool(c, i);
-      p.sync();
-      const std::size_t key = pool_index(c, i);
-      served[ch][static_cast<std::size_t>(i)] =
-          (p.cloud_bytes_served() - served_cloud_snapshot_[key]) / interval;
-      served_cloud_snapshot_[key] = p.cloud_bytes_served();
-    }
+  for (std::size_t ch = 0; ch < mean_uplink.size(); ++ch) {
     mean_uplink[ch] = channel_mass_[ch] > 0.0
                           ? uplink_weighted[ch] / channel_mass_[ch]
                           : workload_->uplink_distribution().mean();
   }
-
-  const core::TrackerReport report =
-      tracker_.harvest(now - interval, interval, occupancy, mean_uplink, served);
-  const core::ProvisioningPlan plan = controller_->plan(report);
-  apply_plan(plan);
-  record_plan_series(now);
 }
 
-void CohortSystem::apply_plan(const core::ProvisioningPlan& plan) {
-  if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
-    ++metrics_.counters.rejected_plans;
-    CM_LOG(kWarn) << "cloud rejected provisioning plan at t=" << sim_->now();
-    return;
-  }
-  last_plan_ = std::make_shared<core::ProvisioningPlan>(plan);
-  const std::vector<int>& ports = entry_point_.config().ports;
-  const std::size_t vm_count = plan.instances.instances.size();
-  for (std::size_t k = 0; k < ports.size(); ++k) {
-    if (vm_count == 0) {
-      entry_point_.unmap_port(ports[k]);
-    } else {
-      entry_point_.map_port(ports[k], static_cast<int>(k % vm_count));
-    }
-  }
-}
-
-void CohortSystem::record_plan_series(double now) {
-  if (!last_plan_) return;
-  const core::ProvisioningPlan& plan = *last_plan_;
-  metrics_.vm_cost_rate.add(now, cloud_->vm_cost_rate());
-  metrics_.storage_cost_rate.add(now, cloud_->storage_cost_rate());
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
-    ChannelSeries& series = metrics_.channels[ch];
-    double provisioned = 0.0;
-    for (double b : plan.chunk_cloud_bandwidth[ch]) provisioned += b;
-    series.provisioned_mbps.add(now, util::to_mbps(provisioned));
-    series.storage_utility.add(
-        now, core::channel_storage_utility(plan.storage_problem, plan.storage, c));
-    series.vm_utility.add(now,
-                          core::channel_vm_utility(plan.vm_problem, plan.vm, c));
-  }
-}
-
-void CohortSystem::rebalance_capacity() {
-  // The fluid analogue of StreamingSystem::rebalance_capacity: demand per
+void CohortSystem::chunk_demand(std::vector<double>& demand,
+                                std::vector<double>& peer) const {
+  // The fluid analogue of the discrete engine's active jobs: demand per
   // (channel, chunk) is the download-active mass scaled by a duty factor
   // (the fraction of its dwell a downloading viewer actually occupies the
   // pool: sojourn / dwell, 1 when the pool is at or below the streaming
-  // rate), fed to the pools as fluid job counts; the cloud share re-splits
-  // across chunks by fluid demand + standby weight, and in P2P mode the
-  // aggregate cohort uplink waterfalls rarest-first over ownership mass.
+  // rate); the shell feeds it to the pools as fluid job counts. In P2P
+  // mode the aggregate cohort uplink waterfalls rarest-first over
+  // ownership mass.
   const double r = params_.streaming_rate;
   const double t0 = params_.chunk_duration;
   const auto j_count = static_cast<std::size_t>(num_chunks_);
@@ -464,110 +320,56 @@ void CohortSystem::rebalance_capacity() {
 
     // Fluid job counts: previous per-job rate estimates the duty factor
     // (starved pools → duty 1, over-provisioned pools → sojourn/T0 < 1).
-    std::vector<double> fluid(j_count, 0.0);
     for (int j = 0; j < num_chunks_; ++j) {
       const std::size_t key = pool_index(c, j);
       const double m = dl_mass[key];
-      if (m <= 0.0) {
-        fluid[static_cast<std::size_t>(j)] = 0.0;
-        continue;
-      }
+      if (m <= 0.0) continue;
       const double prev_rate = std::max(pools_[key]->per_job_rate(), kRateFloor);
       const double duty =
           std::min(1.0, (params_.chunk_bytes() / prev_rate) / t0);
-      fluid[static_cast<std::size_t>(j)] = m * duty;
-    }
-
-    // Cloud share follows fluid demand (+ standby), as the discrete engine
-    // follows active jobs.
-    double channel_cloud = 0.0;
-    double weight_total = 0.0;
-    std::vector<double> weight(j_count, 0.0);
-    for (int j = 0; j < num_chunks_; ++j) {
-      channel_cloud += cloud_->chunk_capacity(c, j);
-      const double w = fluid[static_cast<std::size_t>(j)] +
-                       options_.streaming.standby_weight;
-      weight[static_cast<std::size_t>(j)] = w;
-      weight_total += w;
-    }
-    std::vector<double> cloud_alloc(j_count, 0.0);
-    if (channel_cloud > 0.0 && weight_total > 0.0) {
-      for (int j = 0; j < num_chunks_; ++j) {
-        cloud_alloc[static_cast<std::size_t>(j)] =
-            channel_cloud * weight[static_cast<std::size_t>(j)] / weight_total;
-      }
+      demand[key] = m * duty;
     }
 
     // Peer share: rarest-first waterfall over ownership mass. The channel's
     // aggregate uplink supplies chunks ascending by owners; each chunk may
     // draw at most the uplink fraction its owners hold.
-    std::vector<double> peer_alloc(j_count, 0.0);
-    if (options_.streaming.mode == core::StreamingMode::kP2p &&
-        channel_mass_[ch] > 0.0 && channel_uplink[ch] > 0.0) {
-      double total_owned = 0.0;
-      for (int j = 0; j < num_chunks_; ++j) {
-        total_owned += owned_mass[pool_index(c, j)];
-      }
-      if (total_owned > 0.0) {
-        std::vector<int> order(j_count);
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-          return owned_mass[pool_index(c, a)] < owned_mass[pool_index(c, b)];
-        });
-        double remaining = channel_uplink[ch];
-        for (int chunk : order) {
-          const std::size_t key = pool_index(c, chunk);
-          if (owned_mass[key] <= 0.0) continue;
-          const double demand = fluid[static_cast<std::size_t>(chunk)] * r;
-          const double available =
-              channel_uplink[ch] * owned_mass[key] / total_owned;
-          const double give = std::min({demand, available, remaining});
-          if (give <= 0.0) continue;
-          peer_alloc[static_cast<std::size_t>(chunk)] = give;
-          remaining -= give;
-        }
-        // Residual uplink stands by over owned chunks, like the discrete
-        // engine's per-peer residual split.
-        if (remaining > 0.0) {
-          for (int j = 0; j < num_chunks_; ++j) {
-            peer_alloc[static_cast<std::size_t>(j)] +=
-                remaining * owned_mass[pool_index(c, j)] / total_owned;
-          }
-        }
-      }
+    if (options_.mode != core::StreamingMode::kP2p ||
+        channel_mass_[ch] <= 0.0 || channel_uplink[ch] <= 0.0) {
+      continue;
     }
-
+    double total_owned = 0.0;
     for (int j = 0; j < num_chunks_; ++j) {
-      const std::size_t key = pool_index(c, j);
-      fluid_share_[key] = fluid[static_cast<std::size_t>(j)];
-      pools_[key]->set_capacity(peer_alloc[static_cast<std::size_t>(j)],
-                                cloud_alloc[static_cast<std::size_t>(j)]);
-      pools_[key]->set_fluid_jobs(fluid[static_cast<std::size_t>(j)]);
+      total_owned += owned_mass[pool_index(c, j)];
+    }
+    if (total_owned <= 0.0) continue;
+    std::vector<int> order(j_count);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return owned_mass[pool_index(c, a)] < owned_mass[pool_index(c, b)];
+    });
+    double remaining = channel_uplink[ch];
+    for (int chunk : order) {
+      const std::size_t key = pool_index(c, chunk);
+      if (owned_mass[key] <= 0.0) continue;
+      const double wanted = demand[key] * r;
+      const double available = channel_uplink[ch] * owned_mass[key] / total_owned;
+      const double give = std::min({wanted, available, remaining});
+      if (give <= 0.0) continue;
+      peer[key] = give;
+      remaining -= give;
+    }
+    // Residual uplink stands by over owned chunks, like the discrete
+    // engine's per-peer residual split.
+    if (remaining > 0.0) {
+      for (int j = 0; j < num_chunks_; ++j) {
+        const std::size_t key = pool_index(c, j);
+        peer[key] += remaining * owned_mass[key] / total_owned;
+      }
     }
   }
 }
 
-// --- metrics ---------------------------------------------------------------
-
-void CohortSystem::sample_bandwidth(double now) {
-  double cloud_rate = 0.0;
-  double peer_rate = 0.0;
-  for (const auto& p : pools_) {
-    cloud_rate += p->cloud_rate();
-    peer_rate += p->peer_rate();
-  }
-  metrics_.reserved_mbps.add(now, util::to_mbps(cloud_->reserved_bandwidth()));
-  metrics_.used_cloud_mbps.add(now, util::to_mbps(cloud_rate));
-  metrics_.used_peer_mbps.add(now, util::to_mbps(peer_rate));
-  metrics_.concurrent_users.add(now, total_mass_);
-  peak_mass_ = std::max(peak_mass_, total_mass_);
-  for (int c = 0; c < num_channels_; ++c) {
-    metrics_.channels[static_cast<std::size_t>(c)].size.add(
-        now, channel_mass_[static_cast<std::size_t>(c)]);
-  }
-}
-
-void CohortSystem::sample_quality(double now) {
+double CohortSystem::quality_now(std::vector<double>& per_channel) const {
   // Fluid quality: the mass currently downloading from a pool whose
   // per-job rate is below the streaming rate is stalled; smooth fraction =
   // 1 − stalled/total. Instantaneous (the discrete engine's per-viewer
@@ -586,18 +388,19 @@ void CohortSystem::sample_quality(double now) {
     }
   }
   double stalled_total = 0.0;
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
+  for (std::size_t ch = 0; ch < stalled.size(); ++ch) {
     stalled_total += stalled[ch];
     const double mass = channel_mass_[ch];
-    const double q =
+    per_channel[ch] =
         mass > 0.0 ? 1.0 - std::min(1.0, stalled[ch] / mass) : 1.0;
-    metrics_.channels[ch].quality.add(now, q);
   }
-  const double q = total_mass_ > 0.0
-                       ? 1.0 - std::min(1.0, stalled_total / total_mass_)
-                       : 1.0;
-  metrics_.quality.add(now, q);
+  return total_mass_ > 0.0 ? 1.0 - std::min(1.0, stalled_total / total_mass_)
+                           : 1.0;
+}
+
+double CohortSystem::users_now(std::vector<double>& per_channel) const {
+  per_channel = channel_mass_;
+  return total_mass_;
 }
 
 }  // namespace cloudmedia::vod

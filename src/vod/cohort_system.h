@@ -1,18 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "cloud/cloud_service.h"
-#include "cloud/entry_point.h"
-#include "core/controller.h"
-#include "sim/simulator.h"
 #include "util/matrix.h"
-#include "vod/service_pool.h"
-#include "vod/streaming_system.h"
-#include "vod/tracker.h"
+#include "vod/system.h"
 #include "workload/cohort.h"
-#include "workload/scenario.h"
 
 namespace cloudmedia::vod {
 
@@ -27,9 +21,10 @@ struct CohortOptions {
   double min_mass = 1e-3;
 };
 
-/// The cohort/fluid simulation core: the same CloudMedia deployment as
-/// StreamingSystem (tracker + controller loop, SLA'd cloud, entry point,
-/// per-(channel, chunk) ServicePools), but viewers are aggregated.
+/// The cohort/fluid population model: the same CloudMedia deployment as
+/// StreamingSystem (the System shell's tracker + controller loop, SLA'd
+/// cloud, entry point, per-(channel, chunk) ServicePools), but viewers are
+/// aggregated.
 ///
 /// Statistically-identical viewers — same channel, same arrival window —
 /// form one cohort: a struct-of-arrays arena slot holding the cohort's
@@ -53,74 +48,45 @@ struct CohortOptions {
 /// Small-N runs wanting exactness should use the discrete engine — the
 /// expr runner's `auto` engine does precisely that below the population
 /// threshold.
-class CohortSystem {
+class CohortSystem final : public System {
  public:
   CohortSystem(sim::Simulator& simulator, const workload::Workload& workload,
                core::VodParameters params, cloud::CloudService& cloud,
                std::unique_ptr<core::Controller> controller,
                CohortOptions options);
 
-  /// Schedule the window ticks and periodic tasks; then drive the simulator.
-  void start();
-
-  [[nodiscard]] const SystemMetrics& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] SystemMetrics& metrics() noexcept { return metrics_; }
-
   // --- introspection (tests, benches) -----------------------------------
-  /// Rounded viewer mass currently in the system.
-  [[nodiscard]] std::size_t current_users() const noexcept;
   [[nodiscard]] double current_viewer_mass() const noexcept { return total_mass_; }
   [[nodiscard]] double channel_viewer_mass(int channel) const;
-  [[nodiscard]] double peak_viewer_mass() const noexcept { return peak_mass_; }
+  /// Largest viewer mass any bandwidth sample has seen.
+  [[nodiscard]] double peak_viewer_mass() const;
   [[nodiscard]] long long viewers_admitted() const noexcept { return arrivals_count_; }
   [[nodiscard]] double departures_mass() const noexcept { return departures_mass_; }
   [[nodiscard]] std::size_t live_cohorts() const noexcept { return live_cohorts_; }
-  [[nodiscard]] ServicePool& pool(int channel, int chunk);
-  [[nodiscard]] Tracker& tracker() noexcept { return tracker_; }
-  [[nodiscard]] core::Controller& controller() noexcept { return *controller_; }
-  [[nodiscard]] cloud::EntryPoint& entry_point() noexcept { return entry_point_; }
-  [[nodiscard]] const core::ProvisioningPlan* last_plan() const noexcept {
-    return last_plan_ ? last_plan_.get() : nullptr;
-  }
 
  private:
+  void start_population() override;
+  void observe_population(std::vector<std::vector<double>>& occupancy,
+                          std::vector<double>& mean_uplink) const override;
+  void chunk_demand(std::vector<double>& demand,
+                    std::vector<double>& peer) const override;
+  [[nodiscard]] double quality_now(std::vector<double>& per_channel) const override;
+  [[nodiscard]] double users_now(std::vector<double>& per_channel) const override;
+
   void window_tick(double now);
   void transition(std::size_t slot, std::uint32_t generation);
   void retire(std::size_t slot);
   [[nodiscard]] std::size_t allocate_slot();
   void refresh_behavior_cache();
-
-  void run_provisioning(double now);
-  [[nodiscard]] core::TrackerReport bootstrap_report() const;
-  void apply_plan(const core::ProvisioningPlan& plan);
-  void record_plan_series(double now);
-  void rebalance_capacity();
-  void sample_bandwidth(double now);
-  void sample_quality(double now);
   void sync_counters();
 
   /// Mass of cohort `slot` currently downloading chunk j (occupancy that
   /// does not yet own the chunk, under the independence approximation).
   [[nodiscard]] double download_mass(std::size_t slot, int chunk) const;
-  [[nodiscard]] std::size_t pool_index(int channel, int chunk) const;
   [[nodiscard]] std::size_t cell(std::size_t slot, int chunk) const;
 
-  sim::Simulator* sim_;
-  const workload::Workload* workload_;
-  core::VodParameters params_;
-  cloud::CloudService* cloud_;
-  std::unique_ptr<core::Controller> controller_;
-  CohortOptions options_;
-
-  int num_channels_;
-  int num_chunks_;
-
-  std::vector<std::unique_ptr<ServicePool>> pools_;  ///< C × J
-  std::vector<double> served_cloud_snapshot_;        ///< bytes at interval start
-  std::vector<double> fluid_share_;                  ///< last fluid job count
-
-  Tracker tracker_;
-  cloud::EntryPoint entry_point_;
+  double window_;
+  double min_mass_;
 
   // SoA cohort arena. A slot is live iff live_[slot]; freed slots recycle
   // through free_slots_ and bump generation_ so stale transition events
@@ -144,17 +110,12 @@ class CohortSystem {
   std::vector<workload::CohortArrivals> arrivals_;  ///< per channel
   std::vector<double> channel_mass_;                ///< per channel
   double total_mass_ = 0.0;
-  double peak_mass_ = 0.0;
 
   long long arrivals_count_ = 0;
   double departures_mass_ = 0.0;
   double downloads_mass_ = 0.0;
   double late_mass_ = 0.0;
   double replays_mass_ = 0.0;
-
-  std::shared_ptr<core::ProvisioningPlan> last_plan_;
-  SystemMetrics metrics_;
-  bool started_ = false;
 };
 
 }  // namespace cloudmedia::vod

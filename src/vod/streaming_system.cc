@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "util/check.h"
-#include "util/log.h"
-#include "util/units.h"
 
 namespace cloudmedia::vod {
 
@@ -24,38 +22,12 @@ StreamingSystem::StreamingSystem(sim::Simulator& simulator,
                                  cloud::CloudService& cloud,
                                  std::unique_ptr<core::Controller> controller,
                                  StreamingOptions options)
-    : sim_(&simulator),
-      workload_(&workload),
-      params_(params),
-      cloud_(&cloud),
-      controller_(std::move(controller)),
-      options_(options),
-      num_channels_(workload.num_channels()),
-      num_chunks_(params.chunks_per_video),
-      tracker_(workload.num_channels(), params.chunks_per_video),
-      entry_point_(options.entry) {
-  params_.validate();
-  CM_EXPECTS(controller_ != nullptr);
-  CM_EXPECTS(workload.config().chunks_per_video == params.chunks_per_video);
-  CM_EXPECTS(options_.provisioning_interval > 0.0);
-  CM_EXPECTS(options_.rebalance_interval > 0.0);
-  CM_EXPECTS(options_.sample_interval > 0.0);
-  CM_EXPECTS(options_.quality_interval > 0.0 && options_.quality_window > 0.0);
-
-  const std::size_t total =
-      static_cast<std::size_t>(num_channels_) * static_cast<std::size_t>(num_chunks_);
-  pools_.reserve(total);
-  for (int c = 0; c < num_channels_; ++c) {
-    for (int i = 0; i < num_chunks_; ++i) {
-      pools_.push_back(std::make_unique<ServicePool>(
-          simulator, params_.vm_bandwidth,
-          [this, c, i](const ServicePool::Completion& completion) {
-            handle_completion(c, i, completion);
-          }));
-    }
-  }
-  peer_capacity_.assign(total, 0.0);
-  served_cloud_snapshot_.assign(total, 0.0);
+    : System(simulator, workload, params, cloud, std::move(controller), options,
+             [this](int c, int i) -> ServicePool::CompletionHandler {
+               return [this, c, i](const ServicePool::Completion& completion) {
+                 handle_completion(c, i, completion);
+               };
+             }) {
   members_.resize(static_cast<std::size_t>(num_channels_));
   owner_count_.assign(static_cast<std::size_t>(num_channels_),
                       std::vector<int>(static_cast<std::size_t>(num_chunks_), 0));
@@ -63,20 +35,6 @@ StreamingSystem::StreamingSystem(sim::Simulator& simulator,
   uplink_sum_.assign(static_cast<std::size_t>(num_channels_), 0.0);
   next_user_index_.assign(static_cast<std::size_t>(num_channels_), 0);
   last_arrival_time_.assign(static_cast<std::size_t>(num_channels_), 0.0);
-  metrics_.channels.resize(static_cast<std::size_t>(num_channels_));
-
-  cloud_->vm_scheduler().set_capacity_listener([this] { rebalance_capacity(); });
-}
-
-std::size_t StreamingSystem::pool_index(int channel, int chunk) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
-  CM_EXPECTS(chunk >= 0 && chunk < num_chunks_);
-  return static_cast<std::size_t>(channel) * static_cast<std::size_t>(num_chunks_) +
-         static_cast<std::size_t>(chunk);
-}
-
-ServicePool& StreamingSystem::pool(int channel, int chunk) {
-  return *pools_[pool_index(channel, chunk)];
 }
 
 // --- peer slab -------------------------------------------------------------
@@ -108,7 +66,7 @@ const Peer* StreamingSystem::find_peer(std::uint64_t handle) const noexcept {
 
 std::vector<std::uint64_t> StreamingSystem::channel_peer_handles(
     int channel) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
+  check_channel(channel);
   const auto& slots = members_[static_cast<std::size_t>(channel)];
   std::vector<std::uint64_t> handles;
   handles.reserve(slots.size());
@@ -118,10 +76,7 @@ std::vector<std::uint64_t> StreamingSystem::channel_peer_handles(
   return handles;  // members_ is id-sorted already
 }
 
-void StreamingSystem::start() {
-  CM_EXPECTS(!started_);
-  started_ = true;
-
+void StreamingSystem::start_population() {
   for (int c = 0; c < num_channels_; ++c) {
     arrivals_.push_back(workload_->make_arrivals(c));
   }
@@ -129,26 +84,6 @@ void StreamingSystem::start() {
     last_arrival_time_[static_cast<std::size_t>(c)] = sim_->now();
     schedule_next_arrival(c);
   }
-
-  const double t0 = sim_->now();
-  if (options_.bootstrap_plan) {
-    sim_->schedule_at(t0, [this] {
-      const core::ProvisioningPlan plan = controller_->plan(bootstrap_report());
-      apply_plan(plan);
-      record_plan_series(sim_->now());
-    });
-  }
-  sim_->schedule_periodic(t0 + options_.provisioning_interval,
-                          options_.provisioning_interval,
-                          [this](double t) { run_provisioning(t); });
-  sim_->schedule_periodic(t0 + options_.rebalance_interval,
-                          options_.rebalance_interval,
-                          [this](double) { rebalance_capacity(); });
-  sim_->schedule_periodic(t0 + options_.sample_interval, options_.sample_interval,
-                          [this](double t) { sample_bandwidth(t); });
-  sim_->schedule_periodic(t0 + options_.quality_interval,
-                          options_.quality_interval,
-                          [this](double t) { sample_quality(t); });
 }
 
 // --- user lifecycle -------------------------------------------------------
@@ -223,7 +158,8 @@ void StreamingSystem::begin_chunk(Peer& peer) {
   // effect.
   const bool needs_cloud =
       options_.mode == core::StreamingMode::kClientServer ||
-      owner_count(peer.channel, chunk) == 0;
+      owner_count_[static_cast<std::size_t>(peer.channel)]
+                  [static_cast<std::size_t>(chunk)] == 0;
   if (needs_cloud) {
     const cloud::CloudReferral referral = entry_point_.issue(sim_->now());
     const cloud::TicketStatus verdict =
@@ -326,7 +262,7 @@ void StreamingSystem::depart(Peer& peer) {
 }
 
 std::size_t StreamingSystem::evict_channel(int channel) {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
+  check_channel(channel);
   const auto ch = static_cast<std::size_t>(channel);
   // Snapshot: members_ is kept sorted by peer id, so this is already the
   // ascending-id order the old sorted-id map walk produced; depart()
@@ -345,121 +281,32 @@ std::size_t StreamingSystem::evict_channel(int channel) {
 }
 
 double StreamingSystem::uplink_sum(int channel) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
+  check_channel(channel);
   return uplink_sum_[static_cast<std::size_t>(channel)];
 }
 
-// --- provisioning loop ------------------------------------------------------
+// --- population hooks -------------------------------------------------------
 
-core::TrackerReport StreamingSystem::bootstrap_report() const {
-  // Window-labelling: see the declaration — interval_start is the start of
-  // the described window, here the upcoming [now, now+T) forecast.
-  core::TrackerReport report;
-  report.interval_start = sim_->now();
-  report.interval_length = options_.provisioning_interval;
-  report.channels.resize(static_cast<std::size_t>(num_channels_));
-  const workload::ViewingBehavior& behavior = workload_->config().behavior;
-  const util::Matrix transfer = behavior.transfer_matrix(num_chunks_);
-  const std::vector<double> entry = behavior.entry_distribution(num_chunks_);
-  const double uplink_mean = workload_->uplink_distribution().mean();
-  for (int c = 0; c < num_channels_; ++c) {
-    core::ChannelObservation& obs = report.channels[static_cast<std::size_t>(c)];
-    obs.arrival_rate = workload_->channel_rate(c, sim_->now());
-    obs.transfer = transfer;
-    obs.entry = entry;
-    obs.occupancy.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.served_cloud_bandwidth.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.mean_peer_uplink = uplink_mean;
-  }
-  return report;
-}
-
-void StreamingSystem::run_provisioning(double now) {
-  const double interval = options_.provisioning_interval;
-
-  std::vector<std::vector<double>> occupancy(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
-  std::vector<double> mean_uplink(static_cast<std::size_t>(num_channels_), 0.0);
-  std::vector<std::vector<double>> served(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
-
+void StreamingSystem::observe_population(
+    std::vector<std::vector<double>>& occupancy,
+    std::vector<double>& mean_uplink) const {
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
     for (int i = 0; i < num_chunks_; ++i) {
       occupancy[ch][static_cast<std::size_t>(i)] =
           static_cast<double>(position_count_[ch][static_cast<std::size_t>(i)]);
-      ServicePool& p = pool(c, i);
-      p.sync();
-      const std::size_t key = pool_index(c, i);
-      served[ch][static_cast<std::size_t>(i)] =
-          (p.cloud_bytes_served() - served_cloud_snapshot_[key]) / interval;
-      served_cloud_snapshot_[key] = p.cloud_bytes_served();
     }
     mean_uplink[ch] = members_[ch].empty()
                           ? workload_->uplink_distribution().mean()
                           : uplink_sum_[ch] / static_cast<double>(members_[ch].size());
   }
-
-  const core::TrackerReport report =
-      tracker_.harvest(now - interval, interval, occupancy, mean_uplink, served);
-  const core::ProvisioningPlan plan = controller_->plan(report);
-  apply_plan(plan);
-  record_plan_series(now);
 }
 
-void StreamingSystem::apply_plan(const core::ProvisioningPlan& plan) {
-  if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
-    ++metrics_.counters.rejected_plans;
-    CM_LOG(kWarn) << "cloud rejected provisioning plan at t=" << sim_->now();
-    return;
-  }
-  last_plan_ = std::make_shared<core::ProvisioningPlan>(plan);
-  // Pool capacities refresh through the VM scheduler's listener.
-
-  // Refresh the entry point's port-forwarding table onto the provisioned
-  // instances (Sec. V-B: verified requests are "forwarded to the VMs in
-  // the cloud ... using the port-forwarding technique").
-  const std::vector<int>& ports = entry_point_.config().ports;
-  const std::size_t vm_count = plan.instances.instances.size();
-  for (std::size_t k = 0; k < ports.size(); ++k) {
-    if (vm_count == 0) {
-      entry_point_.unmap_port(ports[k]);
-    } else {
-      entry_point_.map_port(ports[k], static_cast<int>(k % vm_count));
-    }
-  }
-}
-
-void StreamingSystem::record_plan_series(double now) {
-  if (!last_plan_) return;
-  const core::ProvisioningPlan& plan = *last_plan_;
-  metrics_.vm_cost_rate.add(now, cloud_->vm_cost_rate());
-  metrics_.storage_cost_rate.add(now, cloud_->storage_cost_rate());
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
-    ChannelSeries& series = metrics_.channels[ch];
-    double provisioned = 0.0;
-    for (double b : plan.chunk_cloud_bandwidth[ch]) provisioned += b;
-    series.provisioned_mbps.add(now, util::to_mbps(provisioned));
-    series.storage_utility.add(
-        now, core::channel_storage_utility(plan.storage_problem, plan.storage, c));
-    series.vm_utility.add(now,
-                          core::channel_vm_utility(plan.vm_problem, plan.vm, c));
-  }
-}
-
-void StreamingSystem::rebalance_capacity() {
-  // Two re-splits per channel, mirroring the real schedulers:
-  //  - Cloud: a VM serves whichever of its (consecutive) chunks is being
-  //    requested (Sec. V-A2), so the channel's planned cloud bandwidth is
-  //    re-split across chunks in proportion to active requests, with a
-  //    small standby weight so fresh requests are never starved until the
-  //    next tick.
-  //  - Peers (P2P mode): rarest-first allocation of owners' uplinks to
-  //    active demand (Sec. IV-C), residual split as standby over owned
-  //    chunks.
+void StreamingSystem::chunk_demand(std::vector<double>& demand,
+                                   std::vector<double>& peer) const {
+  // Demand is each pool's active jobs. In P2P mode peer upload follows the
+  // rarest-first scheduler (Sec. IV-C): owners' uplinks go to active
+  // demand, the residual stands by over owned chunks.
   const double r = params_.streaming_rate;
   std::vector<double> remaining;
   std::vector<double> standby_share;
@@ -473,125 +320,92 @@ void StreamingSystem::rebalance_capacity() {
 
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
-
-    // --- cloud share: follow current requests --------------------------
-    double channel_cloud = 0.0;
-    double weight_total = 0.0;
-    std::vector<double> weight(static_cast<std::size_t>(num_chunks_), 0.0);
-    for (int i = 0; i < num_chunks_; ++i) {
-      channel_cloud += cloud_->chunk_capacity(c, i);
-      const double w =
-          static_cast<double>(pools_[pool_index(c, i)]->active_jobs()) +
-          options_.standby_weight;
-      weight[static_cast<std::size_t>(i)] = w;
-      weight_total += w;
-    }
-    std::vector<double> cloud_alloc(static_cast<std::size_t>(num_chunks_), 0.0);
-    if (channel_cloud > 0.0 && weight_total > 0.0) {
-      for (int i = 0; i < num_chunks_; ++i) {
-        cloud_alloc[static_cast<std::size_t>(i)] =
-            channel_cloud * weight[static_cast<std::size_t>(i)] / weight_total;
-      }
-    }
-
-    // --- peer share: rarest-first waterfall (P2P only) ------------------
-    std::vector<double> peer_alloc(static_cast<std::size_t>(num_chunks_), 0.0);
-    if (options_.mode == core::StreamingMode::kP2p && !members_[ch].empty()) {
-      // members_ is sorted by ascending peer id — the deterministic order
-      // every float summation below accumulates in.
-      const std::vector<std::uint32_t>& channel_slots = members_[ch];
-      const std::size_t n = channel_slots.size();
-      remaining.assign(n, 0.0);
-      standby_share.assign(n, 0.0);
-      for (auto& owners : owners_by_chunk) owners.clear();
-      for (std::size_t p = 0; p < n; ++p) {
-        const Peer& peer = slab_[channel_slots[p]];
-        remaining[p] = peer.uplink;
-        for (int i = 0; i < num_chunks_; ++i) {
-          if (peer.owned[static_cast<std::size_t>(i)]) {
-            owners_by_chunk[static_cast<std::size_t>(i)].push_back(
-                static_cast<std::uint32_t>(p));
-          }
-        }
-      }
-
-      // Chunks by rareness (ascending owner count).
-      std::vector<int> order(static_cast<std::size_t>(num_chunks_));
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return owner_count_[ch][static_cast<std::size_t>(a)] <
-               owner_count_[ch][static_cast<std::size_t>(b)];
-      });
-
-      for (int chunk : order) {
-        const auto ck = static_cast<std::size_t>(chunk);
-        const double demand =
-            static_cast<double>(pools_[pool_index(c, chunk)]->active_jobs()) * r;
-        if (demand <= 0.0 || owner_count_[ch][ck] == 0) continue;
-        const std::vector<std::uint32_t>& owners = owners_by_chunk[ck];
-        double available = 0.0;
-        for (const std::uint32_t p : owners) available += remaining[p];
-        if (available <= 0.0) continue;
-        const double supply = std::min(demand, available);
-        const double keep = 1.0 - supply / available;
-        for (const std::uint32_t p : owners) remaining[p] *= keep;
-        peer_alloc[ck] = supply;
-      }
-
-      // Standby: split each peer's residual upload evenly over its chunks.
-      // share = remaining / owned-count is fixed per peer here, so adding
-      // it chunk-major through the owner lists reproduces the peer-major
-      // scan exactly (per chunk, contributions still arrive in ascending
-      // member order).
-      for (std::size_t p = 0; p < n; ++p) {
-        standby_share[p] = 0.0;
-        if (remaining[p] <= 0.0) continue;
-        const Peer& peer = slab_[channel_slots[p]];
-        const int owned = std::accumulate(peer.owned.begin(), peer.owned.end(), 0);
-        if (owned == 0) continue;
-        standby_share[p] = remaining[p] / static_cast<double>(owned);
-      }
-      for (int i = 0; i < num_chunks_; ++i) {
-        const auto ck = static_cast<std::size_t>(i);
-        for (const std::uint32_t p : owners_by_chunk[ck]) {
-          if (standby_share[p] != 0.0) peer_alloc[ck] += standby_share[p];
-        }
-      }
-    }
-
     for (int i = 0; i < num_chunks_; ++i) {
       const std::size_t key = pool_index(c, i);
-      peer_capacity_[key] = peer_alloc[static_cast<std::size_t>(i)];
-      pools_[key]->set_capacity(peer_capacity_[key],
-                                cloud_alloc[static_cast<std::size_t>(i)]);
+      demand[key] = static_cast<double>(pools_[key]->active_jobs());
+    }
+    if (options_.mode != core::StreamingMode::kP2p || members_[ch].empty()) {
+      continue;
+    }
+
+    // members_ is sorted by ascending peer id — the deterministic order
+    // every float summation below accumulates in.
+    const std::vector<std::uint32_t>& channel_slots = members_[ch];
+    const std::size_t n = channel_slots.size();
+    remaining.assign(n, 0.0);
+    standby_share.assign(n, 0.0);
+    for (auto& owners : owners_by_chunk) owners.clear();
+    for (std::size_t p = 0; p < n; ++p) {
+      const Peer& member = slab_[channel_slots[p]];
+      remaining[p] = member.uplink;
+      for (int i = 0; i < num_chunks_; ++i) {
+        if (member.owned[static_cast<std::size_t>(i)]) {
+          owners_by_chunk[static_cast<std::size_t>(i)].push_back(
+              static_cast<std::uint32_t>(p));
+        }
+      }
+    }
+
+    // Chunks by rareness (ascending owner count).
+    std::vector<int> order(static_cast<std::size_t>(num_chunks_));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return owner_count_[ch][static_cast<std::size_t>(a)] <
+             owner_count_[ch][static_cast<std::size_t>(b)];
+    });
+
+    for (int chunk : order) {
+      const auto ck = static_cast<std::size_t>(chunk);
+      const std::size_t key = pool_index(c, chunk);
+      const double wanted = demand[key] * r;
+      if (wanted <= 0.0 || owner_count_[ch][ck] == 0) continue;
+      const std::vector<std::uint32_t>& owners = owners_by_chunk[ck];
+      double available = 0.0;
+      for (const std::uint32_t p : owners) available += remaining[p];
+      if (available <= 0.0) continue;
+      const double supply = std::min(wanted, available);
+      const double keep = 1.0 - supply / available;
+      for (const std::uint32_t p : owners) remaining[p] *= keep;
+      peer[key] = supply;
+    }
+
+    // Standby: split each peer's residual upload evenly over its chunks.
+    // share = remaining / owned-count is fixed per peer here, so adding
+    // it chunk-major through the owner lists reproduces the peer-major
+    // scan exactly (per chunk, contributions still arrive in ascending
+    // member order).
+    for (std::size_t p = 0; p < n; ++p) {
+      standby_share[p] = 0.0;
+      if (remaining[p] <= 0.0) continue;
+      const Peer& member = slab_[channel_slots[p]];
+      const int owned = std::accumulate(member.owned.begin(), member.owned.end(), 0);
+      if (owned == 0) continue;
+      standby_share[p] = remaining[p] / static_cast<double>(owned);
+    }
+    for (int i = 0; i < num_chunks_; ++i) {
+      const std::size_t key = pool_index(c, i);
+      for (const std::uint32_t p : owners_by_chunk[static_cast<std::size_t>(i)]) {
+        if (standby_share[p] != 0.0) peer[key] += standby_share[p];
+      }
     }
   }
 }
 
-// --- metrics ---------------------------------------------------------------
-
-double StreamingSystem::cloud_rate_now() const {
-  double rate = 0.0;
-  for (const auto& p : pools_) rate += p->cloud_rate();
-  return rate;
-}
-
-double StreamingSystem::peer_rate_now() const {
-  double rate = 0.0;
-  for (const auto& p : pools_) rate += p->peer_rate();
-  return rate;
-}
-
-void StreamingSystem::sample_bandwidth(double now) {
-  metrics_.reserved_mbps.add(now, util::to_mbps(cloud_->reserved_bandwidth()));
-  metrics_.used_cloud_mbps.add(now, util::to_mbps(cloud_rate_now()));
-  metrics_.used_peer_mbps.add(now, util::to_mbps(peer_rate_now()));
-  metrics_.concurrent_users.add(now, static_cast<double>(live_peers_));
+double StreamingSystem::quality_now(std::vector<double>& per_channel) const {
   for (int c = 0; c < num_channels_; ++c) {
-    metrics_.channels[static_cast<std::size_t>(c)].size.add(
-        now, static_cast<double>(members_[static_cast<std::size_t>(c)].size()));
+    per_channel[static_cast<std::size_t>(c)] = channel_quality_now(c);
   }
+  return system_quality_now();
 }
+
+double StreamingSystem::users_now(std::vector<double>& per_channel) const {
+  for (std::size_t c = 0; c < members_.size(); ++c) {
+    per_channel[c] = static_cast<double>(members_[c].size());
+  }
+  return static_cast<double>(live_peers_);
+}
+
+// --- introspection ----------------------------------------------------------
 
 bool StreamingSystem::peer_is_smooth(const Peer& peer) const {
   const double now = sim_->now();
@@ -613,6 +427,7 @@ double StreamingSystem::system_quality_now() const {
 }
 
 double StreamingSystem::channel_quality_now(int channel) const {
+  check_channel(channel);
   const auto ch = static_cast<std::size_t>(channel);
   if (members_[ch].empty()) return 1.0;
   std::size_t smooth = 0;
@@ -622,57 +437,21 @@ double StreamingSystem::channel_quality_now(int channel) const {
   return static_cast<double>(smooth) / static_cast<double>(members_[ch].size());
 }
 
-void StreamingSystem::sample_quality(double now) {
-  metrics_.quality.add(now, system_quality_now());
-  for (int c = 0; c < num_channels_; ++c) {
-    metrics_.channels[static_cast<std::size_t>(c)].quality.add(
-        now, channel_quality_now(c));
-  }
-}
-
 std::size_t StreamingSystem::channel_users(int channel) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
+  check_channel(channel);
   return members_[static_cast<std::size_t>(channel)].size();
 }
 
 int StreamingSystem::owner_count(int channel, int chunk) const {
+  check_cell(channel, chunk);
   return owner_count_[static_cast<std::size_t>(channel)]
                      [static_cast<std::size_t>(chunk)];
 }
 
 int StreamingSystem::position_count(int channel, int chunk) const {
+  check_cell(channel, chunk);
   return position_count_[static_cast<std::size_t>(channel)]
                         [static_cast<std::size_t>(chunk)];
-}
-
-std::size_t SystemMetrics::total_samples() const noexcept {
-  std::size_t n = reserved_mbps.size() + used_cloud_mbps.size() +
-                  used_peer_mbps.size() + quality.size() +
-                  vm_cost_rate.size() + storage_cost_rate.size() +
-                  concurrent_users.size();
-  for (const ChannelSeries& series : channels) {
-    n += series.size.size() + series.quality.size() +
-         series.provisioned_mbps.size() + series.storage_utility.size() +
-         series.vm_utility.size();
-  }
-  return n;
-}
-
-void SystemMetrics::downsample(std::size_t stride) {
-  CM_EXPECTS(stride >= 1);
-  if (stride == 1) return;
-  for (util::TimeSeries* series :
-       {&reserved_mbps, &used_cloud_mbps, &used_peer_mbps, &quality,
-        &vm_cost_rate, &storage_cost_rate, &concurrent_users}) {
-    *series = series->strided(stride);
-  }
-  for (ChannelSeries& series : channels) {
-    series.size = series.size.strided(stride);
-    series.quality = series.quality.strided(stride);
-    series.provisioned_mbps = series.provisioned_mbps.strided(stride);
-    series.storage_utility = series.storage_utility.strided(stride);
-    series.vm_utility = series.vm_utility.strided(stride);
-  }
 }
 
 }  // namespace cloudmedia::vod

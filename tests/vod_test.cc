@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "sim/simulator.h"
 #include "sweep/scenario_catalog.h"
 #include "util/check.h"
+#include "vod/cohort_system.h"
 #include "vod/service_pool.h"
 #include "vod/streaming_system.h"
 #include "vod/tracker.h"
@@ -761,6 +763,93 @@ TEST(StreamingSystem, BootstrapAndHarvestAgreeOnWindowLabels) {
     EXPECT_GE(start, 0.0);
   }
 }
+
+TEST(StreamingSystem, PerChannelAccessorsRejectOutOfRangeIndices) {
+  expr::ExperimentConfig cfg =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
+  cfg.workload.num_channels = 2;
+  StreamingOptions options;
+  SystemHarness h(cfg, options,
+                  model_policy(cfg, core::StreamingMode::kClientServer));
+  const int channels = cfg.workload.num_channels;
+  const int chunks = cfg.vod.chunks_per_video;
+  for (const int bad : {-1, channels}) {
+    EXPECT_THROW((void)h.system.channel_quality_now(bad), util::PreconditionError)
+        << "channel " << bad;
+    EXPECT_THROW((void)h.system.owner_count(bad, 0), util::PreconditionError)
+        << "channel " << bad;
+    EXPECT_THROW((void)h.system.position_count(bad, 0), util::PreconditionError)
+        << "channel " << bad;
+  }
+  for (const int bad : {-1, chunks}) {
+    EXPECT_THROW((void)h.system.owner_count(0, bad), util::PreconditionError)
+        << "chunk " << bad;
+    EXPECT_THROW((void)h.system.position_count(0, bad), util::PreconditionError)
+        << "chunk " << bad;
+  }
+  EXPECT_DOUBLE_EQ(h.system.channel_quality_now(channels - 1), 1.0);
+  EXPECT_EQ(h.system.owner_count(channels - 1, chunks - 1), 0);
+  EXPECT_EQ(h.system.position_count(channels - 1, chunks - 1), 0);
+}
+
+// ----------------------------------------------- the shell, for both engines
+
+enum class Engine { kDiscrete, kCohort };
+
+void PrintTo(Engine engine, std::ostream* os) {
+  *os << (engine == Engine::kCohort ? "cohort" : "discrete");
+}
+
+class EitherEngine : public ::testing::TestWithParam<Engine> {
+ protected:
+  /// Build the chosen engine's system over `options`.
+  std::unique_ptr<System> make_system(const StreamingOptions& options) {
+    auto controller = std::make_unique<core::Controller>(
+        cfg_.vod,
+        core::ControllerConfig{cfg_.vm_clusters, cfg_.nfs_clusters,
+                               cfg_.vm_budget_per_hour,
+                               cfg_.storage_budget_per_hour},
+        model_policy(cfg_, options.mode));
+    if (GetParam() == Engine::kCohort) {
+      CohortOptions cohort;
+      cohort.streaming = options;
+      return std::make_unique<CohortSystem>(sim_, workload_, cfg_.vod, cloud_,
+                                            std::move(controller), cohort);
+    }
+    return std::make_unique<StreamingSystem>(sim_, workload_, cfg_.vod, cloud_,
+                                             std::move(controller), options);
+  }
+
+  expr::ExperimentConfig cfg_ =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
+  sim::Simulator sim_;
+  workload::Workload workload_{cfg_.workload, cfg_.seed};
+  cloud::CloudService cloud_{sim_, cloud_config_for(cfg_)};
+};
+
+TEST_P(EitherEngine, NonPositiveIntervalsAreRejectedAtConstruction) {
+  const std::pair<const char*, double StreamingOptions::*> intervals[] = {
+      {"provisioning_interval", &StreamingOptions::provisioning_interval},
+      {"rebalance_interval", &StreamingOptions::rebalance_interval},
+      {"sample_interval", &StreamingOptions::sample_interval},
+      {"quality_interval", &StreamingOptions::quality_interval},
+      {"quality_window", &StreamingOptions::quality_window}};
+  for (const auto& [name, field] : intervals) {
+    for (const double bad : {0.0, -1.0}) {
+      StreamingOptions options;
+      options.*field = bad;
+      EXPECT_THROW((void)make_system(options), util::PreconditionError)
+          << name << " = " << bad;
+    }
+  }
+  EXPECT_NO_THROW((void)make_system(StreamingOptions{}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shell, EitherEngine, ::testing::Values(Engine::kDiscrete, Engine::kCohort),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return info.param == Engine::kCohort ? "Cohort" : "Discrete";
+    });
 
 }  // namespace
 }  // namespace cloudmedia::vod
