@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -592,6 +594,63 @@ TEST(StreamingSystem, ConservationInvariantsAfterGoldenPresetRun) {
                 at_position[ch][static_cast<std::size_t>(j)]);
     }
   }
+}
+
+/// FNV-1a over the bit patterns of every pool's peer and cloud capacity,
+/// folded into `hash`: equal digests mean every split is bit-identical.
+std::uint64_t fold_capacities(std::uint64_t hash, StreamingSystem& system,
+                              int channels, int chunks) {
+  const auto fold = [&hash](double x) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  for (int c = 0; c < channels; ++c) {
+    for (int j = 0; j < chunks; ++j) {
+      fold(system.pool(c, j).peer_capacity());
+      fold(system.pool(c, j).cloud_capacity());
+    }
+  }
+  return hash;
+}
+
+TEST(StreamingSystem, P2pRebalanceOutputsAreBitStable) {
+  // Pins the rarest-first waterfall's exact output through the path no
+  // golden reaches: an eviction mid-cliff (departures while downloading,
+  // owners leaving every chunk they held) and the 30 minutes after it.
+  // The digest folds every pool's capacity split at each 30 s step.
+  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
+      "live_event_cliff", core::StreamingMode::kP2p);
+  cfg.workload.total_arrival_rate = 0.04;
+  cfg.seed = 3;
+
+  StreamingOptions options;
+  options.mode = core::StreamingMode::kP2p;
+  SystemHarness h(cfg, options, model_policy(cfg, core::StreamingMode::kP2p));
+  h.system.start();
+  const double cliff = 20.5 * 3600.0;
+  h.sim.run_until(cliff);
+
+  const int channels = cfg.workload.num_channels;
+  const int chunks = cfg.vod.chunks_per_video;
+  std::uint64_t digest =
+      fold_capacities(0xcbf29ce484222325ull, h.system, channels, chunks);
+
+  std::size_t downloading = 0;
+  h.system.for_each_peer([&](const Peer& peer) {
+    if (peer.channel == 0 && peer.downloading) ++downloading;
+  });
+  EXPECT_GT(downloading, 0u);
+  EXPECT_GT(h.system.evict_channel(0), downloading);
+
+  for (int step = 1; step <= 60; ++step) {
+    h.sim.run_until(cliff + 30.0 * step);
+    digest = fold_capacities(digest, h.system, channels, chunks);
+  }
+  EXPECT_EQ(digest, 0x71bc8c876e5084a9ull);
 }
 
 TEST(StreamingSystem, GenerationGuardRejectsStaleHandlesAfterSlotReuse) {
