@@ -32,6 +32,7 @@ StreamingSystem::StreamingSystem(sim::Simulator& simulator,
   owner_count_.assign(static_cast<std::size_t>(num_channels_),
                       std::vector<int>(static_cast<std::size_t>(num_chunks_), 0));
   position_count_ = owner_count_;
+  if (options_.mode == core::StreamingMode::kP2p) owners_.resize(pools_.size());
   uplink_sum_.assign(static_cast<std::size_t>(num_channels_), 0.0);
   next_user_index_.assign(static_cast<std::size_t>(num_channels_), 0);
   last_arrival_time_.assign(static_cast<std::size_t>(num_channels_), 0.0);
@@ -74,6 +75,29 @@ std::vector<std::uint64_t> StreamingSystem::channel_peer_handles(
     handles.push_back(make_handle(slot, slab_[slot].generation));
   }
   return handles;  // members_ is id-sorted already
+}
+
+void StreamingSystem::insert_by_id(std::vector<std::uint32_t>& slots,
+                                   const Peer& peer) const {
+  const auto it = std::lower_bound(
+      slots.begin(), slots.end(), peer.id,
+      [this](std::uint32_t slot, std::uint64_t id) {
+        return slab_[slot].id < id;
+      });
+  slots.insert(it, slot_of(peer));
+}
+
+void StreamingSystem::erase_by_id(std::vector<std::uint32_t>& slots,
+                                  const Peer& peer) const {
+  // Binary search on the monotone peer id; the memmove is cheap next to a
+  // per-tick sort.
+  const auto it = std::lower_bound(
+      slots.begin(), slots.end(), peer.id,
+      [this](std::uint32_t slot, std::uint64_t id) {
+        return slab_[slot].id < id;
+      });
+  CM_ENSURES(it != slots.end() && slab_[*it].id == peer.id);
+  slots.erase(it);
 }
 
 void StreamingSystem::start_population() {
@@ -120,6 +144,7 @@ void StreamingSystem::handle_arrival(int channel, double time) {
   peer.walk.assign(script.chunks.begin(), script.chunks.end());
   peer.position = 0;
   peer.owned.assign(static_cast<std::size_t>(num_chunks_), false);
+  peer.owned_count = 0;
   peer.last_late = -1e300;
   peer.downloading = false;
   peer.download_start = 0.0;
@@ -191,7 +216,11 @@ void StreamingSystem::handle_completion(int channel, int chunk,
 
   if (!peer.owned[static_cast<std::size_t>(chunk)]) {
     peer.owned[static_cast<std::size_t>(chunk)] = true;
+    ++peer.owned_count;
     ++owner_count_[static_cast<std::size_t>(channel)][static_cast<std::size_t>(chunk)];
+    if (!owners_.empty()) {
+      insert_by_id(owners_[pool_index(channel, chunk)], peer);
+    }
   }
 
   // The user watches the chunk for T0; a late download stalls playback, so
@@ -237,18 +266,13 @@ void StreamingSystem::depart(Peer& peer) {
   for (int i = 0; i < num_chunks_; ++i) {
     if (peer.owned[static_cast<std::size_t>(i)]) {
       --owner_count_[ch][static_cast<std::size_t>(i)];
+      if (!owners_.empty()) {
+        erase_by_id(owners_[pool_index(peer.channel, i)], peer);
+      }
     }
   }
   uplink_sum_[ch] -= peer.uplink;
-
-  // Erase from the channel's id-sorted member vector (binary search on
-  // the monotone peer id; the memmove is cheap next to a per-tick sort).
-  std::vector<std::uint32_t>& members = members_[ch];
-  const auto it = std::lower_bound(
-      members.begin(), members.end(), peer.id,
-      [this](std::uint32_t slot, std::uint64_t id) { return slab_[slot].id < id; });
-  CM_ENSURES(it != members.end() && slab_[*it].id == peer.id);
-  members.erase(it);
+  erase_by_id(members_[ch], peer);
 
   ++metrics_.counters.departures;
 
@@ -308,15 +332,13 @@ void StreamingSystem::chunk_demand(std::vector<double>& demand,
   // rarest-first scheduler (Sec. IV-C): owners' uplinks go to active
   // demand, the residual stands by over owned chunks.
   const double r = params_.streaming_rate;
-  std::vector<double> remaining;
-  std::vector<double> standby_share;
-  // owners_by_chunk[ck] = member indices (ascending) owning chunk ck,
-  // rebuilt per channel in one pass over each peer's bitmap. The waterfall
-  // then touches only actual owners instead of re-scanning every member's
-  // bitmap for every chunk — the float sums still accumulate in ascending
-  // member order, so they are bit-identical to the full filtered scans.
-  std::vector<std::vector<std::uint32_t>> owners_by_chunk(
-      static_cast<std::size_t>(num_chunks_));
+  const bool p2p = options_.mode == core::StreamingMode::kP2p;
+  std::vector<int> order;
+  if (p2p) {
+    remaining_.resize(slab_.size());
+    standby_share_.resize(slab_.size());
+    order.resize(static_cast<std::size_t>(num_chunks_));
+  }
 
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
@@ -324,68 +346,48 @@ void StreamingSystem::chunk_demand(std::vector<double>& demand,
       const std::size_t key = pool_index(c, i);
       demand[key] = static_cast<double>(pools_[key]->active_jobs());
     }
-    if (options_.mode != core::StreamingMode::kP2p || members_[ch].empty()) {
-      continue;
-    }
+    if (!p2p || members_[ch].empty()) continue;
 
-    // members_ is sorted by ascending peer id — the deterministic order
-    // every float summation below accumulates in.
-    const std::vector<std::uint32_t>& channel_slots = members_[ch];
-    const std::size_t n = channel_slots.size();
-    remaining.assign(n, 0.0);
-    standby_share.assign(n, 0.0);
-    for (auto& owners : owners_by_chunk) owners.clear();
-    for (std::size_t p = 0; p < n; ++p) {
-      const Peer& member = slab_[channel_slots[p]];
-      remaining[p] = member.uplink;
-      for (int i = 0; i < num_chunks_; ++i) {
-        if (member.owned[static_cast<std::size_t>(i)]) {
-          owners_by_chunk[static_cast<std::size_t>(i)].push_back(
-              static_cast<std::uint32_t>(p));
-        }
-      }
+    for (const std::uint32_t slot : members_[ch]) {
+      remaining_[slot] = slab_[slot].uplink;
     }
 
     // Chunks by rareness (ascending owner count).
-    std::vector<int> order(static_cast<std::size_t>(num_chunks_));
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
       return owner_count_[ch][static_cast<std::size_t>(a)] <
              owner_count_[ch][static_cast<std::size_t>(b)];
     });
 
+    // Every sum below runs over an id-sorted owner list, so it accumulates
+    // in ascending peer-id order.
     for (int chunk : order) {
-      const auto ck = static_cast<std::size_t>(chunk);
       const std::size_t key = pool_index(c, chunk);
       const double wanted = demand[key] * r;
-      if (wanted <= 0.0 || owner_count_[ch][ck] == 0) continue;
-      const std::vector<std::uint32_t>& owners = owners_by_chunk[ck];
+      const std::vector<std::uint32_t>& owners = owners_[key];
+      if (wanted <= 0.0 || owners.empty()) continue;
       double available = 0.0;
-      for (const std::uint32_t p : owners) available += remaining[p];
+      for (const std::uint32_t slot : owners) available += remaining_[slot];
       if (available <= 0.0) continue;
       const double supply = std::min(wanted, available);
       const double keep = 1.0 - supply / available;
-      for (const std::uint32_t p : owners) remaining[p] *= keep;
+      for (const std::uint32_t slot : owners) remaining_[slot] *= keep;
       peer[key] = supply;
     }
 
     // Standby: split each peer's residual upload evenly over its chunks.
-    // share = remaining / owned-count is fixed per peer here, so adding
-    // it chunk-major through the owner lists reproduces the peer-major
-    // scan exactly (per chunk, contributions still arrive in ascending
-    // member order).
-    for (std::size_t p = 0; p < n; ++p) {
-      standby_share[p] = 0.0;
-      if (remaining[p] <= 0.0) continue;
-      const Peer& member = slab_[channel_slots[p]];
-      const int owned = std::accumulate(member.owned.begin(), member.owned.end(), 0);
-      if (owned == 0) continue;
-      standby_share[p] = remaining[p] / static_cast<double>(owned);
+    // share = remaining / owned_count is fixed per peer here, so adding it
+    // chunk-major through the owner lists matches a peer-major scan.
+    for (const std::uint32_t slot : members_[ch]) {
+      const int owned = slab_[slot].owned_count;
+      standby_share_[slot] = remaining_[slot] > 0.0 && owned > 0
+                                 ? remaining_[slot] / static_cast<double>(owned)
+                                 : 0.0;
     }
     for (int i = 0; i < num_chunks_; ++i) {
       const std::size_t key = pool_index(c, i);
-      for (const std::uint32_t p : owners_by_chunk[static_cast<std::size_t>(i)]) {
-        if (standby_share[p] != 0.0) peer[key] += standby_share[p];
+      for (const std::uint32_t slot : owners_[key]) {
+        if (standby_share_[slot] != 0.0) peer[key] += standby_share_[slot];
       }
     }
   }

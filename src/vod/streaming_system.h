@@ -24,6 +24,7 @@ struct Peer {
   std::vector<int> walk;        ///< predetermined chunk walk
   std::size_t position = 0;     ///< index into walk
   std::vector<bool> owned;      ///< buffered chunks
+  int owned_count = 0;          ///< set bits in `owned`
   double last_late = -1e300;    ///< completion time of last late retrieval
   bool downloading = false;
   double download_start = 0.0;
@@ -47,9 +48,11 @@ struct Peer {
 /// departed session fails the generation check and the event is dropped —
 /// the same miss semantics the old unordered_map gave, without any
 /// hashing on the arrival/completion/dwell hot path. Public peer `id`s
-/// remain monotone and are what every order-sensitive path (eviction,
-/// rarest-first rebalance) sorts by, so iteration order — and therefore
-/// every float summation — is explicit rather than hash-layout-accidental.
+/// remain monotone, and every order-sensitive container (the channel
+/// member lists eviction walks, the per-chunk owner lists the rarest-first
+/// rebalance sums over) is kept sorted by them, so iteration order — and
+/// therefore every float summation — is explicit rather than
+/// hash-layout-accidental.
 class StreamingSystem final : public System {
  public:
   StreamingSystem(sim::Simulator& simulator, const workload::Workload& workload,
@@ -78,7 +81,7 @@ class StreamingSystem final : public System {
   /// The handle events/pool jobs carry for `peer` in its current session.
   [[nodiscard]] std::uint64_t peer_handle(const Peer& peer) const noexcept;
   /// Member handles of `channel`, sorted by monotone peer id — the
-  /// deterministic order eviction and the rarest-first rebalance use.
+  /// deterministic order eviction uses.
   [[nodiscard]] std::vector<std::uint64_t> channel_peer_handles(int channel) const;
 
   [[nodiscard]] double uplink_sum(int channel) const;
@@ -107,6 +110,8 @@ class StreamingSystem final : public System {
   void handle_dwell_end(std::uint64_t handle);
   void advance_walk(Peer& peer);
   void depart(Peer& peer);
+  void insert_by_id(std::vector<std::uint32_t>& slots, const Peer& peer) const;
+  void erase_by_id(std::vector<std::uint32_t>& slots, const Peer& peer) const;
 
   [[nodiscard]] Peer* find_peer_mut(std::uint64_t handle) noexcept;
   [[nodiscard]] std::uint32_t slot_of(const Peer& peer) const noexcept;
@@ -122,8 +127,19 @@ class StreamingSystem final : public System {
   std::size_t live_peers_ = 0;
   std::vector<std::vector<std::uint32_t>> members_;         ///< per channel
   std::vector<std::vector<int>> owner_count_;               ///< [channel][chunk]
+  // owners_[pool_index(c, j)] holds the slots of the live peers owning
+  // chunk j of channel c, sorted by ascending peer id, and equals the
+  // `owned` bitmaps at all times: a first gain inserts, a departure erases
+  // from every owned chunk's list. The rarest-first rebalance reads them
+  // directly, so its sums run in ascending-id order. P2P mode only (empty
+  // in client–server mode, where nothing reads them).
+  std::vector<std::vector<std::uint32_t>> owners_;
   std::vector<std::vector<int>> position_count_;            ///< [channel][chunk]
   std::vector<double> uplink_sum_;                          ///< per channel
+  // chunk_demand scratch, slot-indexed (P2P mode only): each member's
+  // uplink not yet given to active demand, then its per-chunk standby.
+  mutable std::vector<double> remaining_;
+  mutable std::vector<double> standby_share_;
 
   std::vector<workload::PoissonArrivals> arrivals_;
   std::vector<std::uint64_t> next_user_index_;

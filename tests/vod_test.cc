@@ -596,6 +596,61 @@ TEST(StreamingSystem, ConservationInvariantsAfterGoldenPresetRun) {
   }
 }
 
+/// Checks every live peer's owned_count and every owner_count(c, j)
+/// against the `owned` bitmaps they mirror.
+void expect_ownership_matches_bitmaps(const StreamingSystem& system,
+                                      int channels, int chunks) {
+  std::vector<int> owners(static_cast<std::size_t>(channels * chunks), 0);
+  system.for_each_peer([&](const Peer& peer) {
+    const int set = static_cast<int>(
+        std::count(peer.owned.begin(), peer.owned.end(), true));
+    EXPECT_EQ(peer.owned_count, set) << "peer " << peer.id;
+    for (int j = 0; j < chunks; ++j) {
+      if (peer.owned[static_cast<std::size_t>(j)]) {
+        ++owners[static_cast<std::size_t>(peer.channel * chunks + j)];
+      }
+    }
+  });
+  for (int c = 0; c < channels; ++c) {
+    for (int j = 0; j < chunks; ++j) {
+      EXPECT_EQ(system.owner_count(c, j),
+                owners[static_cast<std::size_t>(c * chunks + j)])
+          << "channel " << c << " chunk " << j;
+    }
+  }
+}
+
+TEST(StreamingSystem, OwnershipBookkeepingSurvivesChurnAndEviction) {
+  // The per-peer owned_count and the per-chunk owner counts are kept up to
+  // date on every gain and departure rather than recounted; after the
+  // cliff's churn, an eviction, and the refill after it, both must still
+  // equal the bitmaps.
+  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
+      "live_event_cliff", core::StreamingMode::kP2p);
+  cfg.workload.total_arrival_rate = 0.04;
+  cfg.seed = 3;
+
+  StreamingOptions options;
+  options.mode = core::StreamingMode::kP2p;
+  SystemHarness h(cfg, options, model_policy(cfg, core::StreamingMode::kP2p));
+  h.system.start();
+  h.sim.run_until(20.5 * 3600.0);
+
+  const int channels = cfg.workload.num_channels;
+  const int chunks = cfg.vod.chunks_per_video;
+  ASSERT_GT(h.system.metrics().counters.departures, 0);
+  expect_ownership_matches_bitmaps(h.system, channels, chunks);
+
+  ASSERT_GT(h.system.evict_channel(0), 0u);
+  EXPECT_EQ(h.system.channel_users(0), 0u);
+  for (int j = 0; j < chunks; ++j) EXPECT_EQ(h.system.owner_count(0, j), 0);
+  expect_ownership_matches_bitmaps(h.system, channels, chunks);
+
+  h.sim.run_until(21.0 * 3600.0);  // refill: evicted slots are recycled
+  EXPECT_GT(h.system.channel_users(0), 0u);
+  expect_ownership_matches_bitmaps(h.system, channels, chunks);
+}
+
 /// FNV-1a over the bit patterns of every pool's peer and cloud capacity,
 /// folded into `hash`: equal digests mean every split is bit-identical.
 std::uint64_t fold_capacities(std::uint64_t hash, StreamingSystem& system,
@@ -720,9 +775,9 @@ TEST(StreamingSystem, GenerationGuardRejectsStaleHandlesAfterSlotReuse) {
 }
 
 TEST(StreamingSystem, EvictionOrderIsAscendingPeerId) {
-  // channel_peer_handles() is the snapshot evict_channel (and the
-  // rarest-first rebalance) iterates, so its order decides the float
-  // summation and departure order. Pin it: ascending monotone peer id,
+  // channel_peer_handles() is the snapshot evict_channel iterates, so its
+  // order decides the departure order (and the per-chunk owner lists the
+  // rebalance sums over share it). Pin it: ascending monotone peer id,
   // and exactly the channel's live membership — never slab or hash order.
   expr::ExperimentConfig cfg =
       expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
