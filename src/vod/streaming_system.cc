@@ -335,8 +335,7 @@ void StreamingSystem::chunk_demand(std::vector<double>& demand,
   const bool p2p = options_.mode == core::StreamingMode::kP2p;
   std::vector<int> order;
   if (p2p) {
-    remaining_.resize(slab_.size());
-    standby_share_.resize(slab_.size());
+    spare_.resize(slab_.size());
     order.resize(static_cast<std::size_t>(num_chunks_));
   }
 
@@ -349,7 +348,7 @@ void StreamingSystem::chunk_demand(std::vector<double>& demand,
     if (!p2p || members_[ch].empty()) continue;
 
     for (const std::uint32_t slot : members_[ch]) {
-      remaining_[slot] = slab_[slot].uplink;
+      spare_[slot] = slab_[slot].uplink;
     }
 
     // Chunks by rareness (ascending owner count).
@@ -367,27 +366,27 @@ void StreamingSystem::chunk_demand(std::vector<double>& demand,
       const std::vector<std::uint32_t>& owners = owners_[key];
       if (wanted <= 0.0 || owners.empty()) continue;
       double available = 0.0;
-      for (const std::uint32_t slot : owners) available += remaining_[slot];
+      for (const std::uint32_t slot : owners) available += spare_[slot];
       if (available <= 0.0) continue;
       const double supply = std::min(wanted, available);
       const double keep = 1.0 - supply / available;
-      for (const std::uint32_t slot : owners) remaining_[slot] *= keep;
+      for (const std::uint32_t slot : owners) spare_[slot] *= keep;
       peer[key] = supply;
     }
 
     // Standby: split each peer's residual upload evenly over its chunks.
-    // share = remaining / owned_count is fixed per peer here, so adding it
-    // chunk-major through the owner lists matches a peer-major scan.
+    // The share is fixed per peer here, so adding it chunk-major through
+    // the owner lists matches a peer-major scan.
     for (const std::uint32_t slot : members_[ch]) {
       const int owned = slab_[slot].owned_count;
-      standby_share_[slot] = remaining_[slot] > 0.0 && owned > 0
-                                 ? remaining_[slot] / static_cast<double>(owned)
-                                 : 0.0;
+      double& spare = spare_[slot];
+      spare = spare > 0.0 && owned > 0 ? spare / static_cast<double>(owned)
+                                       : 0.0;
     }
     for (int i = 0; i < num_chunks_; ++i) {
       const std::size_t key = pool_index(c, i);
       for (const std::uint32_t slot : owners_[key]) {
-        if (standby_share_[slot] != 0.0) peer[key] += standby_share_[slot];
+        if (spare_[slot] != 0.0) peer[key] += spare_[slot];
       }
     }
   }

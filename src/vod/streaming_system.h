@@ -136,10 +136,10 @@ class StreamingSystem final : public System {
   std::vector<std::vector<std::uint32_t>> owners_;
   std::vector<std::vector<int>> position_count_;            ///< [channel][chunk]
   std::vector<double> uplink_sum_;                          ///< per channel
-  // chunk_demand scratch, slot-indexed (P2P mode only): each member's
-  // uplink not yet given to active demand, then its per-chunk standby.
-  mutable std::vector<double> remaining_;
-  mutable std::vector<double> standby_share_;
+  // chunk_demand scratch, slot-indexed, sized in P2P mode only: each
+  // member's uplink not yet given to active demand, then that residual's
+  // standby share per owned chunk.
+  mutable std::vector<double> spare_;
 
   std::vector<workload::PoissonArrivals> arrivals_;
   std::vector<std::uint64_t> next_user_index_;

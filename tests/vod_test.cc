@@ -544,14 +544,21 @@ TEST(StreamingSystem, DepartWhileDownloadingAbortsPoolJob) {
   EXPECT_EQ(counters.chunk_downloads, downloads_before);
 }
 
+/// The live_event_cliff golden preset in P2P mode, downsized so a run into
+/// its 20:00 arrival wall takes well under a second.
+expr::ExperimentConfig downsized_cliff_config() {
+  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
+      "live_event_cliff", core::StreamingMode::kP2p);
+  cfg.workload.total_arrival_rate = 0.04;
+  cfg.seed = 3;
+  return cfg;
+}
+
 TEST(StreamingSystem, ConservationInvariantsAfterGoldenPresetRun) {
   // Run a downsized live_event_cliff (the golden preset the cohort bench
   // scales up) into the middle of its 20:00 arrival wall, then check every
   // derived count against the peer map it is supposed to mirror.
-  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
-      "live_event_cliff", core::StreamingMode::kP2p);
-  cfg.workload.total_arrival_rate = 0.04;  // downsized from the preset
-  cfg.seed = 3;
+  const expr::ExperimentConfig cfg = downsized_cliff_config();
 
   StreamingOptions options;
   options.mode = core::StreamingMode::kP2p;
@@ -625,10 +632,7 @@ TEST(StreamingSystem, OwnershipBookkeepingSurvivesChurnAndEviction) {
   // date on every gain and departure rather than recounted; after the
   // cliff's churn, an eviction, and the refill after it, both must still
   // equal the bitmaps.
-  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
-      "live_event_cliff", core::StreamingMode::kP2p);
-  cfg.workload.total_arrival_rate = 0.04;
-  cfg.seed = 3;
+  const expr::ExperimentConfig cfg = downsized_cliff_config();
 
   StreamingOptions options;
   options.mode = core::StreamingMode::kP2p;
@@ -677,10 +681,7 @@ TEST(StreamingSystem, P2pRebalanceOutputsAreBitStable) {
   // golden reaches: an eviction mid-cliff (departures while downloading,
   // owners leaving every chunk they held) and the 30 minutes after it.
   // The digest folds every pool's capacity split at each 30 s step.
-  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
-      "live_event_cliff", core::StreamingMode::kP2p);
-  cfg.workload.total_arrival_rate = 0.04;
-  cfg.seed = 3;
+  const expr::ExperimentConfig cfg = downsized_cliff_config();
 
   StreamingOptions options;
   options.mode = core::StreamingMode::kP2p;
