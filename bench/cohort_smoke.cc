@@ -22,7 +22,6 @@
 #include "expr/runner.h"
 #include "sweep/scenario_catalog.h"
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/json.h"
 #include "util/rss.h"
 
@@ -88,8 +87,6 @@ int main(int argc, char** argv) {
   bench["sim_events"] = static_cast<double>(result.sim_events);
   bench["peak_rss_mb"] = rss_mb;
   const std::string out = flags.get("out", std::string("BENCH_cohort.json"));
-  const std::size_t slash = out.find_last_of('/');
-  if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));
   util::write_json_file(out, bench);
   std::printf("[json] %s\n", out.c_str());
   return 0;

@@ -26,7 +26,6 @@
 #include "expr/runner.h"
 #include "sweep/scenario_catalog.h"
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/json.h"
 #include "util/rss.h"
 
@@ -38,20 +37,6 @@ namespace {
 /// container, measured by this bench at its default arguments. The CI gate
 /// demands >= 2x this figure from the slab/SBO/sorted-vector hot path.
 constexpr double kBaselineEventsPerSec = 1.96e5;
-
-constexpr bool sanitized_build() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
 
 }  // namespace
 
@@ -98,7 +83,7 @@ int main(int argc, char** argv) {
               min_events_per_sec, kBaselineEventsPerSec,
               events_per_sec / kBaselineEventsPerSec, max_rss_mb);
 
-  if (sanitized_build()) {
+  if (util::kSanitizedBuild) {
     std::printf("  sanitizer build: throughput/RSS gates skipped\n");
   } else {
     // The regression gates. Throughput halving or an RSS blow-up in the
@@ -123,10 +108,8 @@ int main(int argc, char** argv) {
   bench["min_events_per_sec"] = min_events_per_sec;
   bench["peak_rss_mb"] = rss_mb;
   bench["max_rss_mb"] = max_rss_mb;
-  bench["gates_enforced"] = !sanitized_build();
+  bench["gates_enforced"] = !util::kSanitizedBuild;
   const std::string out = flags.get("out", std::string("BENCH_discrete.json"));
-  const std::size_t slash = out.find_last_of('/');
-  if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));
   util::write_json_file(out, bench);
   std::printf("[json] %s\n", out.c_str());
   return 0;

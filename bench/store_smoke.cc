@@ -14,8 +14,9 @@
 // Peak RSS (getrusage) is monotonic, so phase order is load-bearing:
 // small streaming, full streaming, then buffered last.
 //
-// Under ASan/UBSan the asserts are skipped (shadow memory distorts RSS);
-// the sanitize job still exercises the store's threading end to end.
+// In an ASan or TSan build (util::kSanitizedBuild) the asserts are skipped
+// (shadow memory distorts RSS); the sanitize job still exercises the
+// store's threading end to end.
 //
 // Flags: --cells=10000 --hours=0.25 --warmup=0 --threads=<hardware>
 //        --seed=42 --out=BENCH_store.json --store-out=results/store_smoke
@@ -38,18 +39,6 @@
 using namespace cloudmedia;
 
 namespace {
-
-#if defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 constexpr double kFlatFactor = 2.0;      // full/small streaming peak bound
 constexpr double kBufferedFactor = 4.0;  // buffered/streaming peak floor
@@ -183,8 +172,8 @@ int main(int argc, char** argv) {
   std::printf("  peak rss: full/small streaming %.2fx (gate < %.1fx), "
               "buffered/streaming %.2fx (gate >= %.1fx)%s\n",
               flat_ratio, kFlatFactor, buffered_ratio, kBufferedFactor,
-              kSanitized ? " [sanitized build: gates skipped]" : "");
-  if (!kSanitized) {
+              util::kSanitizedBuild ? " [sanitized build: gates skipped]" : "");
+  if (!util::kSanitizedBuild) {
     CM_ENSURES(retained_samples > 0);
     CM_ENSURES(flat_ratio < kFlatFactor);
     CM_ENSURES(buffered_ratio >= kBufferedFactor);
@@ -204,7 +193,7 @@ int main(int argc, char** argv) {
   bench["buffered_retained_samples"] = static_cast<double>(retained_samples);
   bench["rss_flat_ratio"] = flat_ratio;
   bench["rss_buffered_over_streaming"] = buffered_ratio;
-  bench["sanitized"] = kSanitized;
+  bench["sanitized"] = util::kSanitizedBuild;
   const std::string out = flags.get("out", std::string("BENCH_store.json"));
   util::write_json_file(out, bench);
   std::printf("[json] %s\n", out.c_str());

@@ -24,7 +24,6 @@
 #include "sweep/sweep_runner.h"
 #include "sweep/thread_pool.h"
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/json.h"
 #include "util/rss.h"
 
@@ -110,8 +109,6 @@ int main(int argc, char** argv) {
   bench["retained_samples_stride8"] = static_cast<double>(strided_samples);
   bench["peak_rss_mb"] = rss_mb;
   const std::string out = flags.get("out", std::string("BENCH_sweep.json"));
-  const std::size_t slash = out.find_last_of('/');
-  if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));
   util::write_json_file(out, bench);
   std::printf("[json] %s\n", out.c_str());
   return 0;

@@ -93,7 +93,6 @@
 #include "sweep/sweep_runner.h"
 #include "sweep/thread_pool.h"
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/json.h"
 
 using namespace cloudmedia;
@@ -157,10 +156,6 @@ int run_diff(int argc, char** argv) {
   std::fputs(diff.report().c_str(), stdout);
   if (flags.has("out")) {
     const std::string out = flags.get("out", std::string());
-    const std::size_t slash = out.find_last_of('/');
-    if (slash != std::string::npos) {
-      util::ensure_directory(out.substr(0, slash));
-    }
     util::write_json_file(out, diff.to_json());
     std::printf("[json] %s\n", out.c_str());
   }
