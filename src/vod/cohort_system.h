@@ -23,8 +23,7 @@ struct CohortOptions {
 
 /// The cohort/fluid population model: the same CloudMedia deployment as
 /// StreamingSystem (the System shell's tracker + controller loop, SLA'd
-/// cloud, entry point, per-(channel, chunk) ServicePools), but viewers are
-/// aggregated.
+/// cloud, per-(channel, chunk) ServicePools), but viewers are aggregated.
 ///
 /// Statistically-identical viewers — same channel, same arrival window —
 /// form one cohort: a struct-of-arrays arena slot holding the cohort's

@@ -29,9 +29,8 @@ StreamingSystem::StreamingSystem(sim::Simulator& simulator,
                };
              }) {
   members_.resize(static_cast<std::size_t>(num_channels_));
-  owner_count_.assign(static_cast<std::size_t>(num_channels_),
-                      std::vector<int>(static_cast<std::size_t>(num_chunks_), 0));
-  position_count_ = owner_count_;
+  position_count_.assign(static_cast<std::size_t>(num_channels_),
+                         std::vector<int>(static_cast<std::size_t>(num_chunks_), 0));
   if (options_.mode == core::StreamingMode::kP2p) owners_.resize(pools_.size());
   uplink_sum_.assign(static_cast<std::size_t>(num_channels_), 0.0);
   next_user_index_.assign(static_cast<std::size_t>(num_channels_), 0);
@@ -174,23 +173,6 @@ void StreamingSystem::begin_chunk(Peer& peer) {
                       [this, handle] { handle_dwell_end(handle); });
     return;
   }
-  // Sec. V-B admission path: with insufficient peer supply (no overlay
-  // owner of the chunk; always, in client–server mode) the tracker refers
-  // the peer to the cloud with <entry address, ports, ticket>, and the
-  // entry point verifies the ticket before forwarding to a VM. Referral
-  // and redemption happen within one event (the round trip is sub-second
-  // against 5-minute chunks) — admission accounting, not a bandwidth
-  // effect.
-  const bool needs_cloud =
-      options_.mode == core::StreamingMode::kClientServer ||
-      owner_count_[static_cast<std::size_t>(peer.channel)]
-                  [static_cast<std::size_t>(chunk)] == 0;
-  if (needs_cloud) {
-    const cloud::CloudReferral referral = entry_point_.issue(sim_->now());
-    const cloud::TicketStatus verdict =
-        entry_point_.redeem(referral.ticket, sim_->now());
-    CM_ENSURES(verdict == cloud::TicketStatus::kValid);
-  }
   peer.downloading = true;
   peer.download_start = sim_->now();
   peer.job_id =
@@ -217,7 +199,6 @@ void StreamingSystem::handle_completion(int channel, int chunk,
   if (!peer.owned[static_cast<std::size_t>(chunk)]) {
     peer.owned[static_cast<std::size_t>(chunk)] = true;
     ++peer.owned_count;
-    ++owner_count_[static_cast<std::size_t>(channel)][static_cast<std::size_t>(chunk)];
     if (!owners_.empty()) {
       insert_by_id(owners_[pool_index(channel, chunk)], peer);
     }
@@ -263,10 +244,9 @@ void StreamingSystem::depart(Peer& peer) {
     pool(peer.channel, peer.walk[peer.position]).remove_job(peer.job_id);
     peer.downloading = false;
   }
-  for (int i = 0; i < num_chunks_; ++i) {
-    if (peer.owned[static_cast<std::size_t>(i)]) {
-      --owner_count_[ch][static_cast<std::size_t>(i)];
-      if (!owners_.empty()) {
+  if (!owners_.empty()) {
+    for (int i = 0; i < num_chunks_; ++i) {
+      if (peer.owned[static_cast<std::size_t>(i)]) {
         erase_by_id(owners_[pool_index(peer.channel, i)], peer);
       }
     }
@@ -354,8 +334,7 @@ void StreamingSystem::chunk_demand(std::vector<double>& demand,
     // Chunks by rareness (ascending owner count).
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return owner_count_[ch][static_cast<std::size_t>(a)] <
-             owner_count_[ch][static_cast<std::size_t>(b)];
+      return owners_[pool_index(c, a)].size() < owners_[pool_index(c, b)].size();
     });
 
     // Every sum below runs over an id-sorted owner list, so it accumulates
@@ -444,9 +423,8 @@ std::size_t StreamingSystem::channel_users(int channel) const {
 }
 
 int StreamingSystem::owner_count(int channel, int chunk) const {
-  check_cell(channel, chunk);
-  return owner_count_[static_cast<std::size_t>(channel)]
-                     [static_cast<std::size_t>(chunk)];
+  const std::size_t key = pool_index(channel, chunk);
+  return owners_.empty() ? 0 : static_cast<int>(owners_[key].size());
 }
 
 int StreamingSystem::position_count(int channel, int chunk) const {

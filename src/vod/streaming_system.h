@@ -14,8 +14,9 @@ namespace cloudmedia::vod {
 /// Peers live in a slab (see StreamingSystem): the object is recycled
 /// across sessions — `id` is the stable monotone public identity, while
 /// `generation`/`live` are slab bookkeeping. `walk` and `owned` keep
-/// their capacity across reuse, so steady-state arrivals allocate
-/// nothing.
+/// their capacity across reuse, so a recycled slot allocates no peer
+/// storage (the session script an arrival copies its walk from is still
+/// sampled into a fresh vector).
 struct Peer {
   std::uint64_t id = 0;
   int channel = 0;
@@ -62,6 +63,10 @@ class StreamingSystem final : public System {
 
   // --- introspection (tests, benches) -----------------------------------
   [[nodiscard]] std::size_t channel_users(int channel) const;
+  /// Live peers owning chunk `chunk` of `channel`: the size of its owner
+  /// list. P2P mode only — client–server mode keeps no owner lists, so
+  /// this is 0 there even when peers have buffered the chunk (read the
+  /// per-peer `owned` bitmaps instead).
   [[nodiscard]] int owner_count(int channel, int chunk) const;
   [[nodiscard]] int position_count(int channel, int chunk) const;
   /// Instantaneous smooth-playback fraction (1.0 when no users).
@@ -126,13 +131,13 @@ class StreamingSystem final : public System {
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_peers_ = 0;
   std::vector<std::vector<std::uint32_t>> members_;         ///< per channel
-  std::vector<std::vector<int>> owner_count_;               ///< [channel][chunk]
   // owners_[pool_index(c, j)] holds the slots of the live peers owning
   // chunk j of channel c, sorted by ascending peer id, and equals the
   // `owned` bitmaps at all times: a first gain inserts, a departure erases
-  // from every owned chunk's list. The rarest-first rebalance reads them
-  // directly, so its sums run in ascending-id order. P2P mode only (empty
-  // in client–server mode, where nothing reads them).
+  // from every owned chunk's list. It is the only per-chunk owner record:
+  // its sizes are the rarest-first ranking, and the rebalance sums run
+  // over it in ascending-id order. P2P mode only (empty in client–server
+  // mode, where nothing reads it; the per-peer `owned` bitmaps remain).
   std::vector<std::vector<std::uint32_t>> owners_;
   std::vector<std::vector<int>> position_count_;            ///< [channel][chunk]
   std::vector<double> uplink_sum_;                          ///< per channel

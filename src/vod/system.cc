@@ -21,7 +21,6 @@ System::System(sim::Simulator& simulator, const workload::Workload& workload,
       num_channels_(workload.num_channels()),
       num_chunks_(params.chunks_per_video),
       tracker_(workload.num_channels(), params.chunks_per_video),
-      entry_point_(options.entry),
       controller_(std::move(controller)),
       fluid_pools_(!route) {
   params_.validate();
@@ -139,19 +138,6 @@ void System::apply_plan(const core::ProvisioningPlan& plan) {
   }
   last_plan_ = std::make_shared<core::ProvisioningPlan>(plan);
   // Pool capacities refresh through the VM scheduler's listener.
-
-  // Refresh the entry point's port-forwarding table onto the provisioned
-  // instances (Sec. V-B: verified requests are "forwarded to the VMs in
-  // the cloud ... using the port-forwarding technique").
-  const std::vector<int>& ports = entry_point_.config().ports;
-  const std::size_t vm_count = plan.instances.instances.size();
-  for (std::size_t k = 0; k < ports.size(); ++k) {
-    if (vm_count == 0) {
-      entry_point_.unmap_port(ports[k]);
-    } else {
-      entry_point_.map_port(ports[k], static_cast<int>(k % vm_count));
-    }
-  }
 }
 
 void System::record_plan_series(double now) {

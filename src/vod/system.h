@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cloud/cloud_service.h"
-#include "cloud/entry_point.h"
 #include "core/controller.h"
 #include "sim/simulator.h"
 #include "util/check.h"
@@ -41,10 +40,6 @@ struct StreamingOptions {
   /// deploying ("based on the application's empirical user scale and
   /// viewing pattern information", Sec. V-B).
   bool bootstrap_plan = true;
-  /// The cloud's public access point (Sec. V-B): referral tickets and the
-  /// port-forwarding table, exercised on every chunk request that needs
-  /// cloud service. Pure admission accounting — bandwidth is unaffected.
-  cloud::EntryPointConfig entry;
 };
 
 /// Per-channel metric series (the scatter sources for Figs. 6–9).
@@ -90,8 +85,8 @@ struct SystemMetrics {
 /// the tracker observes the swarms, the controller plans VMs and storage,
 /// the cloud applies the plan, and the channel's cloud bandwidth is
 /// re-split over its C × J ServicePools. It owns the cloud hooks, the
-/// pools, tracker, entry point, last plan and metrics, and schedules the
-/// periodic provisioning / rebalance / sample / quality tasks.
+/// pools, tracker, last plan and metrics, and schedules the periodic
+/// provisioning / rebalance / sample / quality tasks.
 ///
 /// How viewers are modelled is left to a subclass (StreamingSystem: one
 /// object per peer; CohortSystem: fluid cohorts), which supplies five
@@ -125,10 +120,6 @@ class System {
   /// The provisioning controller (mutable: the experiment runner's timed
   /// scenario ops renegotiate its budgets mid-run).
   [[nodiscard]] core::Controller& controller() noexcept { return *controller_; }
-  [[nodiscard]] cloud::EntryPoint& entry_point() noexcept { return entry_point_; }
-  [[nodiscard]] const cloud::EntryPoint& entry_point() const noexcept {
-    return entry_point_;
-  }
   [[nodiscard]] const core::ProvisioningPlan* last_plan() const noexcept {
     return last_plan_ ? last_plan_.get() : nullptr;
   }
@@ -213,7 +204,6 @@ class System {
   int num_chunks_;
   std::vector<std::unique_ptr<ServicePool>> pools_;  ///< C × J
   Tracker tracker_;
-  cloud::EntryPoint entry_point_;
   SystemMetrics metrics_;
 
  private:

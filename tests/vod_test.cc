@@ -905,6 +905,29 @@ TEST(StreamingSystem, PerChannelAccessorsRejectOutOfRangeIndices) {
   EXPECT_DOUBLE_EQ(h.system.channel_quality_now(channels - 1), 1.0);
   EXPECT_EQ(h.system.owner_count(channels - 1, chunks - 1), 0);
   EXPECT_EQ(h.system.position_count(channels - 1, chunks - 1), 0);
+
+  // Client–server mode keeps no per-chunk owner lists: owner_count reads 0
+  // in every cell even once peers have buffered chunks, while the position
+  // counts and the per-peer bitmaps stay exact.
+  h.system.start();
+  h.sim.run_until(3600.0);
+  int owned_chunks = 0;
+  h.system.for_each_peer([&](const Peer& peer) {
+    const int set = static_cast<int>(
+        std::count(peer.owned.begin(), peer.owned.end(), true));
+    EXPECT_EQ(peer.owned_count, set) << "peer " << peer.id;
+    owned_chunks += set;
+  });
+  ASSERT_GT(owned_chunks, 0);
+  long positions = 0;
+  for (int c = 0; c < channels; ++c) {
+    for (int j = 0; j < chunks; ++j) {
+      EXPECT_EQ(h.system.owner_count(c, j), 0)
+          << "channel " << c << " chunk " << j;
+      positions += h.system.position_count(c, j);
+    }
+  }
+  EXPECT_EQ(positions, static_cast<long>(h.system.current_users()));
 }
 
 // ----------------------------------------------- the shell, for both engines
