@@ -2,13 +2,16 @@
 // controller vs the baselines a provider could deploy instead:
 //   - reactive    : margin × last hour's observed load (no model)
 //   - static      : permanent peak provisioning (no elasticity)
+//   - seasonal    : the paper's model fed a per-hour-of-day EWMA over
+//                   previous days blended with last hour (its future work)
 //   - clairvoyant : the paper's model fed the *true* next-hour arrival rate
 //                   (isolates the cost of predicting from last-hour stats)
 //   - model-nofloor: DESIGN.md's lingering-viewer guard off.
 //
-// Runs on the sweep engine: one grid axis over the strategy knob, fanned
-// across threads, all rows facing the byte-identical workload (strategy is
-// a system-side axis, so it does not perturb the per-run seed).
+// Runs on the sweep engine over the ablation_strategies golden profile's
+// strategy axis, fanned across threads, all rows facing the byte-identical
+// workload (strategy is a system-side axis, so it does not perturb the
+// per-run seed).
 //
 // Flags: --hours=48 --warmup=4 --seed=42 --threads=<hardware>
 //        --scenario=baseline_diurnal --out=results/ablation_strategies
@@ -20,7 +23,7 @@
 
 #include "expr/flags.h"
 #include "profile/profile.h"
-#include "sweep/param_grid.h"
+#include "sweep/goldens.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/thread_pool.h"
 
@@ -29,10 +32,8 @@ using namespace cloudmedia;
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
 
-  profile::Profile prof;
-  prof.scenario = flags.get("scenario", std::string("baseline_diurnal"));
-  prof.grid.add_axis("strategy", {"model", "model-nofloor", "reactive",
-                                  "static", "seasonal", "clairvoyant"});
+  profile::Profile prof = sweep::golden_preset("ablation_strategies").profile;
+  prof.scenario = flags.get("scenario", prof.scenario);
   prof.warmup_hours = 4.0;
   prof.measure_hours = 48.0;
   sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);

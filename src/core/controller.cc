@@ -1,6 +1,6 @@
 #include "core/controller.h"
 
-#include <cmath>
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
@@ -8,14 +8,61 @@
 namespace cloudmedia::core {
 
 ModelBasedPolicy::ModelBasedPolicy(VodParameters params,
-                                   DemandEstimatorConfig config)
-    : estimator_(params, config) {}
+                                   DemandEstimatorConfig config,
+                                   predict::ForecasterSpec forecaster)
+    : estimator_(params, config), spec_(forecaster) {
+  spec_.validate();
+}
+
+ModelBasedPolicy::ModelBasedPolicy(VodParameters params,
+                                   DemandEstimatorConfig config,
+                                   RateOracle future_rate)
+    : estimator_(params, config), future_rate_(std::move(future_rate)) {
+  CM_EXPECTS(future_rate_ != nullptr);
+}
+
+std::string ModelBasedPolicy::name() const {
+  if (future_rate_) return "clairvoyant";
+  if (spec_.kind == predict::ForecasterKind::kPersistence) return "model-based";
+  return "model-based:" + predict::to_string(spec_.kind);
+}
+
+double ModelBasedPolicy::last_forecast(int channel) const {
+  if (channel < 0 || static_cast<std::size_t>(channel) >= last_forecast_.size())
+    return -1.0;
+  return last_forecast_[static_cast<std::size_t>(channel)];
+}
 
 DemandSet ModelBasedPolicy::estimate(const TrackerReport& report) {
+  const std::size_t channels = report.channels.size();
+  if (last_forecast_.empty()) {
+    last_forecast_.assign(channels, -1.0);
+    if (!future_rate_) {
+      const auto prototype = predict::make_forecaster(spec_);
+      bank_.reserve(channels);
+      for (std::size_t c = 0; c < channels; ++c) {
+        bank_.push_back(prototype->clone());
+      }
+    }
+  }
+  CM_EXPECTS(last_forecast_.size() == channels);
+  // The plan serves the interval after the one the report describes.
+  const double t0 = report.interval_start + report.interval_length;
+  const double t1 = t0 + report.interval_length;
+
   DemandSet out;
-  out.cloud_demand.reserve(report.channels.size());
-  out.estimates.reserve(report.channels.size());
-  for (const ChannelObservation& obs : report.channels) {
+  out.cloud_demand.reserve(channels);
+  out.estimates.reserve(channels);
+  for (std::size_t c = 0; c < channels; ++c) {
+    // Only the arrival rate is predicted; viewing patterns stay as measured.
+    ChannelObservation obs = report.channels[c];
+    if (future_rate_) {
+      obs.arrival_rate = future_rate_(static_cast<int>(c), t0, t1);
+    } else {
+      bank_[c]->observe(obs.arrival_rate);
+      obs.arrival_rate = bank_[c]->forecast();
+    }
+    last_forecast_[c] = obs.arrival_rate;
     ChannelDemandEstimate est = estimator_.estimate(obs);
     out.cloud_demand.push_back(est.cloud_demand);
     out.estimates.push_back(std::move(est));
@@ -67,87 +114,6 @@ DemandSet StaticPolicy::estimate(const TrackerReport& report) {
   CM_EXPECTS(report.channels.size() == demand_.size());
   DemandSet out;
   out.cloud_demand = demand_;
-  return out;
-}
-
-SeasonalPolicy::SeasonalPolicy(VodParameters params,
-                               DemandEstimatorConfig config, double period,
-                               double blend, double ewma)
-    : estimator_(params, config), period_(period), blend_(blend), ewma_(ewma) {
-  CM_EXPECTS(period_ > 0.0);
-  CM_EXPECTS(blend_ >= 0.0 && blend_ <= 1.0);
-  CM_EXPECTS(ewma_ > 0.0 && ewma_ <= 1.0);
-}
-
-double SeasonalPolicy::seasonal_rate(int channel, int slot) const {
-  if (channel < 0 || static_cast<std::size_t>(channel) >= history_.size())
-    return -1.0;
-  const auto& row = history_[static_cast<std::size_t>(channel)];
-  if (slot < 0 || static_cast<std::size_t>(slot) >= row.size()) return -1.0;
-  return row[static_cast<std::size_t>(slot)];
-}
-
-DemandSet SeasonalPolicy::estimate(const TrackerReport& report) {
-  CM_EXPECTS(report.interval_length > 0.0);
-  if (slots_ == 0) {
-    slots_ = std::max(1, static_cast<int>(std::lround(period_ / report.interval_length)));
-    history_.assign(report.channels.size(),
-                    std::vector<double>(static_cast<std::size_t>(slots_), -1.0));
-  }
-  CM_EXPECTS(history_.size() == report.channels.size());
-
-  const auto slot_of = [&](double t) {
-    const double phase = std::fmod(t, period_);
-    return static_cast<int>(phase / report.interval_length) % slots_;
-  };
-  const int measured_slot = slot_of(report.interval_start);
-  const int next_slot = slot_of(report.interval_start + report.interval_length);
-
-  DemandSet out;
-  out.cloud_demand.reserve(report.channels.size());
-  out.estimates.reserve(report.channels.size());
-  for (std::size_t c = 0; c < report.channels.size(); ++c) {
-    std::vector<double>& row = history_[c];
-    double& slot_rate = row[static_cast<std::size_t>(measured_slot)];
-    const double measured = report.channels[c].arrival_rate;
-    slot_rate = slot_rate < 0.0 ? measured
-                                : (1.0 - ewma_) * slot_rate + ewma_ * measured;
-
-    ChannelObservation obs = report.channels[c];
-    const double seasonal = row[static_cast<std::size_t>(next_slot)];
-    // Persistence until the same slot has been seen at least once.
-    obs.arrival_rate = seasonal < 0.0
-                           ? measured
-                           : (1.0 - blend_) * measured + blend_ * seasonal;
-    ChannelDemandEstimate est = estimator_.estimate(obs);
-    out.cloud_demand.push_back(est.cloud_demand);
-    out.estimates.push_back(std::move(est));
-  }
-  return out;
-}
-
-ClairvoyantPolicy::ClairvoyantPolicy(
-    VodParameters params, DemandEstimatorConfig config,
-    std::function<double(int, double, double)> future_rate)
-    : estimator_(params, config), future_rate_(std::move(future_rate)) {
-  CM_EXPECTS(future_rate_ != nullptr);
-}
-
-DemandSet ClairvoyantPolicy::estimate(const TrackerReport& report) {
-  const double t0 = report.interval_start + report.interval_length;
-  const double t1 = t0 + report.interval_length;
-  DemandSet out;
-  out.cloud_demand.reserve(report.channels.size());
-  out.estimates.reserve(report.channels.size());
-  for (std::size_t c = 0; c < report.channels.size(); ++c) {
-    // The oracle swaps the measured rate for the true mean rate of the
-    // interval the plan will serve; viewing patterns stay as measured.
-    ChannelObservation obs = report.channels[c];
-    obs.arrival_rate = future_rate_(static_cast<int>(c), t0, t1);
-    ChannelDemandEstimate est = estimator_.estimate(obs);
-    out.cloud_demand.push_back(est.cloud_demand);
-    out.estimates.push_back(std::move(est));
-  }
   return out;
 }
 

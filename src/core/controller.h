@@ -8,6 +8,7 @@
 #include "core/demand.h"
 #include "core/storage_rental.h"
 #include "core/vm_allocation.h"
+#include "predict/forecaster.h"
 
 namespace cloudmedia::core {
 
@@ -27,8 +28,9 @@ struct DemandSet {
 };
 
 /// Strategy that converts tracker measurements into next-interval cloud
-/// bandwidth demand. The paper's algorithm is ModelBasedPolicy; the others
-/// are baselines for the ablation benches.
+/// bandwidth demand. The paper's algorithm is ModelBasedPolicy (with any
+/// arrival-rate predictor, or the clairvoyant oracle); ReactivePolicy and
+/// StaticPolicy are model-free baselines for the ablation benches.
 class DemandPolicy {
  public:
   virtual ~DemandPolicy() = default;
@@ -36,15 +38,40 @@ class DemandPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// The paper's policy: queueing-model demand from measured Λ̂ and P̂.
+/// The paper's policy: Sec.-IV queueing-model demand from a predicted
+/// arrival rate and the measured viewing patterns P̂.
+///
+/// The only thing that varies is which rate the model sees for the next
+/// interval. By default it is a per-channel predict::Forecaster fed the
+/// measured Λ̂ each interval; persistence (next = last, the paper's Sec.
+/// V-B predictor) is the default spec, and the other kinds implement the
+/// paper's deferred "more accurate prediction" future work. Alternatively
+/// a clairvoyant oracle supplies the true mean rate of the planned
+/// interval (the reference row of the prediction-error ablation).
 class ModelBasedPolicy final : public DemandPolicy {
  public:
-  ModelBasedPolicy(VodParameters params, DemandEstimatorConfig config);
+  /// `future_rate(channel, t0, t1)` returns the true mean external arrival
+  /// rate of `channel` over [t0, t1).
+  using RateOracle = std::function<double(int, double, double)>;
+
+  ModelBasedPolicy(VodParameters params, DemandEstimatorConfig config,
+                   predict::ForecasterSpec forecaster = {});
+  ModelBasedPolicy(VodParameters params, DemandEstimatorConfig config,
+                   RateOracle future_rate);
   [[nodiscard]] DemandSet estimate(const TrackerReport& report) override;
-  [[nodiscard]] std::string name() const override { return "model-based"; }
+  /// "model-based" (persistence), "model-based:<kind>" or "clairvoyant".
+  [[nodiscard]] std::string name() const override;
+
+  /// The rate the model used for `channel` in the last estimate() call;
+  /// negative before the first call or for an unknown channel.
+  [[nodiscard]] double last_forecast(int channel) const;
 
  private:
   DemandEstimator estimator_;
+  predict::ForecasterSpec spec_;
+  RateOracle future_rate_;  ///< set: clairvoyant; empty: forecaster bank
+  std::vector<std::unique_ptr<predict::Forecaster>> bank_;  ///< per channel
+  std::vector<double> last_forecast_;
 };
 
 /// Baseline: next interval = margin × last interval's observed load, where
@@ -71,54 +98,6 @@ class StaticPolicy final : public DemandPolicy {
 
  private:
   std::vector<std::vector<double>> demand_;
-};
-
-/// Extension beyond the paper — its own stated future work (Sec. V-B:
-/// "more accurate prediction method based on historical data collected
-/// over more intervals"). Predicts the next interval's arrival rate as a
-/// blend of persistence (last interval, the paper's predictor) and a
-/// seasonal estimate: an EWMA over previous days of the measured rate in
-/// the same time-of-day slot. With a diurnal workload this anticipates the
-/// flash crowds instead of trailing them by one interval.
-class SeasonalPolicy final : public DemandPolicy {
- public:
-  /// `period` is the seasonality period (default one day); `blend` is the
-  /// weight on the seasonal estimate vs persistence once history exists;
-  /// `ewma` is the day-over-day smoothing factor.
-  SeasonalPolicy(VodParameters params, DemandEstimatorConfig config,
-                 double period = 86'400.0, double blend = 0.7,
-                 double ewma = 0.4);
-  [[nodiscard]] DemandSet estimate(const TrackerReport& report) override;
-  [[nodiscard]] std::string name() const override { return "seasonal"; }
-
-  /// Current seasonal rate estimate for (channel, slot); negative = no
-  /// history yet. Exposed for tests.
-  [[nodiscard]] double seasonal_rate(int channel, int slot) const;
-
- private:
-  DemandEstimator estimator_;
-  double period_;
-  double blend_;
-  double ewma_;
-  int slots_ = 0;
-  /// [channel][slot] EWMA of measured rates; -1 marks "never observed".
-  std::vector<std::vector<double>> history_;
-};
-
-/// Baseline: the paper's model fed with the *true* mean arrival rate of the
-/// upcoming interval (an oracle for the prediction error ablation).
-class ClairvoyantPolicy final : public DemandPolicy {
- public:
-  /// `future_rate(channel, t0, t1)` returns the true mean external arrival
-  /// rate of `channel` over [t0, t1).
-  ClairvoyantPolicy(VodParameters params, DemandEstimatorConfig config,
-                    std::function<double(int, double, double)> future_rate);
-  [[nodiscard]] DemandSet estimate(const TrackerReport& report) override;
-  [[nodiscard]] std::string name() const override { return "clairvoyant"; }
-
- private:
-  DemandEstimator estimator_;
-  std::function<double(int, double, double)> future_rate_;
 };
 
 /// The provisioning plan sent to the cloud through the broker: the answer

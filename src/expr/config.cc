@@ -6,18 +6,6 @@
 
 namespace cloudmedia::expr {
 
-std::string to_string(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kModelBased: return "model-based";
-    case Strategy::kReactive: return "reactive";
-    case Strategy::kStatic: return "static";
-    case Strategy::kClairvoyant: return "clairvoyant";
-    case Strategy::kSeasonal: return "seasonal";
-    case Strategy::kForecast: return "forecast";
-  }
-  return "?";
-}
-
 std::string to_string(Engine engine) {
   switch (engine) {
     case Engine::kDiscrete: return "discrete";

@@ -14,19 +14,18 @@
 
 namespace cloudmedia::expr {
 
-/// Which provisioning policy drives the controller. kForecast is the
-/// paper's model driven by a pluggable predictor (see predict/policy.h);
-/// pick the predictor with ExperimentConfig::forecaster.
+/// Which provisioning policy drives the controller. kModelBased,
+/// kSeasonal and kClairvoyant all run the paper's queueing model
+/// (core::ModelBasedPolicy) and differ only in the predicted arrival rate:
+/// ExperimentConfig::forecaster, a daily per-slot seasonal EWMA, or the
+/// true upcoming rate. kReactive and kStatic are model-free baselines.
 enum class Strategy {
   kModelBased,
   kReactive,
   kStatic,
   kClairvoyant,
   kSeasonal,
-  kForecast,
 };
-
-[[nodiscard]] std::string to_string(Strategy strategy);
 
 /// Which simulation core executes the run.
 ///  - kDiscrete: every viewer is an individual Peer with its own heap
@@ -87,7 +86,7 @@ struct ExperimentConfig {
   core::P2pOptions p2p;                       ///< Eqn.-(5) cap variant
   Strategy strategy = Strategy::kModelBased;
   double reactive_margin = 1.2;               ///< for Strategy::kReactive
-  predict::ForecasterSpec forecaster;         ///< for Strategy::kForecast
+  predict::ForecasterSpec forecaster;         ///< for Strategy::kModelBased
 
   double vm_boot_delay = 25.0;                ///< Sec. VI-C measurement
   vod::StreamingOptions streaming;            ///< mode is overridden by `mode`

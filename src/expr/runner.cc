@@ -6,7 +6,6 @@
 
 #include "cloud/cloud_service.h"
 #include "core/demand.h"
-#include "predict/policy.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "vod/cohort_system.h"
@@ -30,7 +29,8 @@ std::unique_ptr<core::DemandPolicy> make_policy(
 
   switch (config.strategy) {
     case Strategy::kModelBased:
-      return std::make_unique<core::ModelBasedPolicy>(config.vod, estimator);
+      return std::make_unique<core::ModelBasedPolicy>(config.vod, estimator,
+                                                      config.forecaster);
     case Strategy::kReactive:
       return std::make_unique<core::ReactivePolicy>(config.vod,
                                                     config.reactive_margin);
@@ -67,13 +67,20 @@ std::unique_ptr<core::DemandPolicy> make_policy(
       }
       return std::make_unique<core::StaticPolicy>(std::move(demand));
     }
-    case Strategy::kSeasonal:
-      return std::make_unique<core::SeasonalPolicy>(config.vod, estimator);
-    case Strategy::kForecast:
-      return std::make_unique<predict::ForecastPolicy>(config.vod, estimator,
-                                                       config.forecaster);
+    case Strategy::kSeasonal: {
+      // Per-slot EWMA over previous days blended with persistence, one
+      // slot per provisioning interval.
+      predict::ForecasterSpec seasonal;
+      seasonal.kind = predict::ForecasterKind::kSeasonalEwma;
+      seasonal.alpha = 0.4;
+      seasonal.blend = 0.7;
+      seasonal.period = std::max(1, static_cast<int>(std::lround(
+          86'400.0 / config.streaming.provisioning_interval)));
+      return std::make_unique<core::ModelBasedPolicy>(config.vod, estimator,
+                                                      seasonal);
+    }
     case Strategy::kClairvoyant:
-      return std::make_unique<core::ClairvoyantPolicy>(
+      return std::make_unique<core::ModelBasedPolicy>(
           config.vod, estimator,
           [&workload](int channel, double t0, double t1) {
             // True mean rate over the interval, 1-minute resolution.

@@ -124,7 +124,8 @@ class SeasonalNaiveForecaster final : public Forecaster {
 
 /// Per-slot EWMA over previous periods, blended with persistence:
 ///   forecast = blend · profile[next slot] + (1 − blend) · last value.
-/// The library form of `core::SeasonalPolicy`'s predictor.
+/// Slots are counted in observations, not read from the clock. This is
+/// the predictor behind the `seasonal` provisioning strategy.
 class SeasonalEwmaForecaster final : public Forecaster {
  public:
   SeasonalEwmaForecaster(int period, double alpha, double blend);

@@ -37,7 +37,7 @@ const std::vector<ValuePool>& value_pools() {
       {"mode", {"cs", "p2p"}},
       {"strategy",
        {"model", "model-nofloor", "reactive", "static", "seasonal",
-        "clairvoyant", "forecast"}},
+        "clairvoyant"}},
       {"capacity", {"literal", "pooled"}},
       {"vm_budget", {"50", "100", "200"}},
       {"storage_budget", {"0.5", "1", "2"}},

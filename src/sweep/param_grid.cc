@@ -68,12 +68,10 @@ void apply_strategy(expr::ExperimentConfig& cfg, const std::string& value) {
     cfg.strategy = expr::Strategy::kSeasonal;
   } else if (value == "clairvoyant") {
     cfg.strategy = expr::Strategy::kClairvoyant;
-  } else if (value == "forecast") {
-    cfg.strategy = expr::Strategy::kForecast;
   } else {
     throw util::PreconditionError(
         "sweep parameter strategy: expected model|model-nofloor|reactive|"
-        "static|seasonal|clairvoyant|forecast, got '" + value + "'");
+        "static|seasonal|clairvoyant, got '" + value + "'");
   }
 }
 
@@ -114,7 +112,6 @@ void apply_forecaster(expr::ExperimentConfig& cfg, const std::string& value) {
     throw util::PreconditionError("sweep parameter forecaster: expected " +
                                   known + ", got '" + value + "'");
   }
-  cfg.strategy = expr::Strategy::kForecast;
   cfg.forecaster.kind = kind;
   cfg.forecaster.period = 24;  // hourly cadence, daily season
 }
@@ -225,6 +222,9 @@ const ParameterEntry kRegistry[] = {
        cfg.vm_boot_delay = parse_double("boot_delay", v);
      }},
     {"p2p_cap", false, apply_p2p_cap},
+    // Sets only the predictor, never the strategy: it has an effect only
+    // when strategy is model or model-nofloor (the default), as
+    // reactive_margin has one only when strategy is reactive.
     {"forecaster", false, apply_forecaster},
     {"reactive_margin", false,
      [](expr::ExperimentConfig& cfg, const std::string& v) {

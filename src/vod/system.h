@@ -137,9 +137,10 @@ class System {
   /// *just-measured* window [now−T, now), so run_provisioning stamps
   /// `interval_start = now − T`. The two agree: the t=0 bootstrap and the
   /// first harvest (at t=T) both label window [0, T), one as a prior and
-  /// one as a measurement — consumers (SeasonalPolicy's time-of-day slot,
-  /// ClairvoyantPolicy's look-ahead anchor) treat interval_start uniformly
-  /// and never see a negative time.
+  /// one as a measurement, and no consumer sees a negative time. The only
+  /// consumer of interval_start is the clairvoyant oracle's look-ahead
+  /// anchor (core::ModelBasedPolicy). It cannot tell the two reports
+  /// apart, so both the t=0 plan and the first harvest ask it for [T, 2T).
   [[nodiscard]] core::TrackerReport bootstrap_report() const;
 
  protected:

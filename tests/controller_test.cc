@@ -161,95 +161,31 @@ TEST(StaticPolicy, AlwaysReturnsTheFixedPlan) {
   EXPECT_EQ(policy.estimate(report).cloud_demand, fixed);
 }
 
-TEST(ClairvoyantPolicy, UsesFutureRateNotMeasured) {
-  ClairvoyantPolicy policy(VodParameters{}, DemandEstimatorConfig{},
-                           [](int, double, double) { return 0.5; });
+TEST(ModelBasedPolicy, ClairvoyantUsesFutureRateNotMeasured) {
+  ModelBasedPolicy policy(VodParameters{}, DemandEstimatorConfig{},
+                          [](int, double, double) { return 0.5; });
   // Measured rate is 0; the oracle still provisions for 0.5 users/s.
   const DemandSet set = policy.estimate(make_report({0.0}));
   double total = 0.0;
   for (double d : set.cloud_demand[0]) total += d;
   EXPECT_GT(total, 0.0);
+  EXPECT_DOUBLE_EQ(policy.last_forecast(0), 0.5);
 }
 
-TEST(ClairvoyantPolicy, QueriesTheUpcomingInterval) {
+TEST(ModelBasedPolicy, ClairvoyantQueriesTheUpcomingInterval) {
   double seen_t0 = -1.0, seen_t1 = -1.0;
-  ClairvoyantPolicy policy(VodParameters{}, DemandEstimatorConfig{},
-                           [&](int, double t0, double t1) {
-                             seen_t0 = t0;
-                             seen_t1 = t1;
-                             return 0.1;
-                           });
+  ModelBasedPolicy policy(VodParameters{}, DemandEstimatorConfig{},
+                          [&](int, double t0, double t1) {
+                            seen_t0 = t0;
+                            seen_t1 = t1;
+                            return 0.1;
+                          });
   TrackerReport report = make_report({0.0});
   report.interval_start = 7200.0;
   report.interval_length = 3600.0;
   (void)policy.estimate(report);
   EXPECT_DOUBLE_EQ(seen_t0, 10'800.0);  // start of the planned interval
   EXPECT_DOUBLE_EQ(seen_t1, 14'400.0);
-}
-
-TEST(SeasonalPolicy, FallsBackToPersistenceWithoutHistory) {
-  SeasonalPolicy seasonal(VodParameters{}, DemandEstimatorConfig{});
-  ModelBasedPolicy persistence(VodParameters{}, DemandEstimatorConfig{});
-  TrackerReport report = make_report({0.2});
-  report.interval_start = 0.0;
-  const DemandSet a = seasonal.estimate(report);
-  const DemandSet b = persistence.estimate(report);
-  ASSERT_EQ(a.cloud_demand.size(), b.cloud_demand.size());
-  for (std::size_t i = 0; i < a.cloud_demand[0].size(); ++i) {
-    EXPECT_NEAR(a.cloud_demand[0][i], b.cloud_demand[0][i], 1e-6);
-  }
-}
-
-TEST(SeasonalPolicy, LearnsDayOverDaySlotRates) {
-  SeasonalPolicy policy(VodParameters{}, DemandEstimatorConfig{},
-                        /*period=*/86'400.0, /*blend=*/1.0, /*ewma=*/1.0);
-  // Day 1, hour 5: measured 0.4. Day 2, hour 5 report should predict the
-  // hour-6 slot; first teach it hour 6 too.
-  TrackerReport hour5 = make_report({0.4});
-  hour5.interval_start = 5.0 * 3600.0;
-  (void)policy.estimate(hour5);
-  EXPECT_NEAR(policy.seasonal_rate(0, 5), 0.4, 1e-12);
-
-  TrackerReport hour6 = make_report({0.9});
-  hour6.interval_start = 6.0 * 3600.0;
-  (void)policy.estimate(hour6);
-  EXPECT_NEAR(policy.seasonal_rate(0, 6), 0.9, 1e-12);
-
-  // Next day, hour 5, measured only 0.1 — with blend=1 the prediction for
-  // hour 6 must equal yesterday's hour-6 rate (0.9), not 0.1.
-  TrackerReport next_day = make_report({0.1});
-  next_day.interval_start = 86'400.0 + 5.0 * 3600.0;
-  const DemandSet predicted = policy.estimate(next_day);
-  ModelBasedPolicy reference(VodParameters{}, DemandEstimatorConfig{});
-  TrackerReport expected = make_report({0.9});
-  const DemandSet ref = reference.estimate(expected);
-  double total_pred = 0.0, total_ref = 0.0;
-  for (double d : predicted.cloud_demand[0]) total_pred += d;
-  for (double d : ref.cloud_demand[0]) total_ref += d;
-  EXPECT_NEAR(total_pred, total_ref, 1e-6);
-}
-
-TEST(SeasonalPolicy, EwmaSmoothsAcrossDays) {
-  SeasonalPolicy policy(VodParameters{}, DemandEstimatorConfig{}, 86'400.0,
-                        0.5, 0.5);
-  for (int day = 0; day < 2; ++day) {
-    TrackerReport report = make_report({day == 0 ? 0.2 : 0.6});
-    report.interval_start = day * 86'400.0 + 3.0 * 3600.0;
-    (void)policy.estimate(report);
-  }
-  // EWMA(0.5): 0.2 then 0.5*0.2 + 0.5*0.6 = 0.4.
-  EXPECT_NEAR(policy.seasonal_rate(0, 3), 0.4, 1e-12);
-}
-
-TEST(SeasonalPolicy, ValidatesParameters) {
-  EXPECT_THROW(SeasonalPolicy(VodParameters{}, DemandEstimatorConfig{}, -1.0),
-               util::PreconditionError);
-  EXPECT_THROW(SeasonalPolicy(VodParameters{}, DemandEstimatorConfig{},
-                              86'400.0, 2.0),
-               util::PreconditionError);
-  EXPECT_THROW(SeasonalPolicy(VodParameters{}, DemandEstimatorConfig{},
-                              86'400.0, 0.5, 0.0),
-               util::PreconditionError);
 }
 
 // -------------------------------------------------------------- controller

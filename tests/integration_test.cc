@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cloud/cloud_service.h"
 #include "core/controller.h"
 #include "expr/config.h"
 #include "expr/runner.h"
+#include "predict/forecaster.h"
 #include "sim/simulator.h"
+#include "sweep/param_grid.h"
 #include "util/check.h"
 #include "vod/streaming_system.h"
 #include "workload/scenario.h"
@@ -148,6 +153,35 @@ TEST(Integration, ClairvoyantMatchesModelOnFlatWorkload) {
   const expr::ExperimentResult oracle = expr::ExperimentRunner::run(oracle_cfg);
   EXPECT_NEAR(oracle.mean_reserved_mbps() / model.mean_reserved_mbps(), 1.0, 0.15);
   EXPECT_GT(oracle.mean_quality(), 0.95);
+}
+
+TEST(Integration, SeasonalStrategyIsModelWithSeasonalForecaster) {
+  // Diurnal arrivals over 26 h, so from t = 23 h the seasonal forecaster
+  // blends in yesterday's slot rates.
+  expr::ExperimentConfig model_cfg = small_config(StreamingMode::kClientServer);
+  model_cfg.workload.diurnal = workload::DiurnalPattern::paper_default();
+  model_cfg.measure_hours = 25.0;
+  expr::ExperimentConfig seasonal_cfg = model_cfg;
+  seasonal_cfg.strategy = expr::Strategy::kSeasonal;
+  const expr::ExperimentResult persistence =
+      expr::ExperimentRunner::run(model_cfg);
+  model_cfg.forecaster.kind = predict::ForecasterKind::kSeasonalEwma;
+  model_cfg.forecaster.alpha = 0.4;
+  model_cfg.forecaster.blend = 0.7;
+  model_cfg.forecaster.period = 24;
+  const expr::ExperimentResult model = expr::ExperimentRunner::run(model_cfg);
+  const expr::ExperimentResult seasonal =
+      expr::ExperimentRunner::run(seasonal_cfg);
+
+  ASSERT_EQ(seasonal.metrics.reserved_mbps.size(),
+            model.metrics.reserved_mbps.size());
+  for (std::size_t i = 0; i < model.metrics.reserved_mbps.size(); ++i) {
+    EXPECT_EQ(seasonal.metrics.reserved_mbps.value_at(i),
+              model.metrics.reserved_mbps.value_at(i));
+  }
+  EXPECT_EQ(seasonal.mean_quality(), model.mean_quality());
+  EXPECT_EQ(seasonal.mean_vm_cost_rate(), model.mean_vm_cost_rate());
+  EXPECT_NE(seasonal.mean_reserved_mbps(), persistence.mean_reserved_mbps());
 }
 
 TEST(Integration, ReactiveProvisioningRecoversFromColdStart) {
@@ -338,10 +372,25 @@ TEST(ExperimentConfig, ValidateCatchesInconsistency) {
 }
 
 TEST(Strategy, Names) {
-  EXPECT_EQ(expr::to_string(expr::Strategy::kModelBased), "model-based");
-  EXPECT_EQ(expr::to_string(expr::Strategy::kReactive), "reactive");
-  EXPECT_EQ(expr::to_string(expr::Strategy::kStatic), "static");
-  EXPECT_EQ(expr::to_string(expr::Strategy::kClairvoyant), "clairvoyant");
+  const std::vector<std::pair<std::string, expr::Strategy>> names = {
+      {"model", expr::Strategy::kModelBased},
+      {"model-nofloor", expr::Strategy::kModelBased},
+      {"reactive", expr::Strategy::kReactive},
+      {"static", expr::Strategy::kStatic},
+      {"seasonal", expr::Strategy::kSeasonal},
+      {"clairvoyant", expr::Strategy::kClairvoyant},
+  };
+  for (const auto& [name, strategy] : names) {
+    expr::ExperimentConfig cfg =
+        expr::ExperimentConfig::make_default(StreamingMode::kClientServer);
+    sweep::apply_parameter(cfg, "strategy", name);
+    EXPECT_EQ(cfg.strategy, strategy) << name;
+    EXPECT_EQ(cfg.occupancy_floor, name != "model-nofloor") << name;
+  }
+  expr::ExperimentConfig cfg =
+      expr::ExperimentConfig::make_default(StreamingMode::kClientServer);
+  EXPECT_THROW(sweep::apply_parameter(cfg, "strategy", "forecast"),
+               util::PreconditionError);
 }
 
 }  // namespace

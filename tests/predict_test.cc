@@ -12,7 +12,6 @@
 #include "core/demand.h"
 #include "predict/accuracy.h"
 #include "predict/forecaster.h"
-#include "predict/policy.h"
 #include "util/check.h"
 #include "workload/distributions.h"
 #include "workload/viewing.h"
@@ -336,7 +335,7 @@ TEST(ForecastScore, EmptyScoreIsAllZero) {
 }
 
 // ---------------------------------------------------------------------------
-// ForecastPolicy: the DemandPolicy adapter.
+// core::ModelBasedPolicy driven by a forecaster bank.
 // ---------------------------------------------------------------------------
 
 core::TrackerReport make_report(double start, double interval,
@@ -364,42 +363,8 @@ core::VodParameters small_params() {
   return params;
 }
 
-TEST(ForecastPolicy, PersistenceKindMatchesModelBasedPolicy) {
-  const core::VodParameters params = small_params();
-  core::DemandEstimatorConfig config;
-  config.occupancy_floor = false;
-
-  predict::ForecastPolicy forecast(params, config, ForecasterSpec{});
-  core::ModelBasedPolicy model(params, config);
-
-  for (int k = 0; k < 5; ++k) {
-    const auto report =
-        make_report(3600.0 * k, 3600.0, {0.05 + 0.01 * k, 0.2});
-    const core::DemandSet a = forecast.estimate(report);
-    const core::DemandSet b = model.estimate(report);
-    ASSERT_EQ(a.cloud_demand.size(), b.cloud_demand.size());
-    for (std::size_t c = 0; c < a.cloud_demand.size(); ++c) {
-      for (std::size_t i = 0; i < a.cloud_demand[c].size(); ++i) {
-        EXPECT_NEAR(a.cloud_demand[c][i], b.cloud_demand[c][i], 1e-9)
-            << "k=" << k << " c=" << c << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ForecastPolicy, ScoresForecastsAgainstNextMeasurement) {
-  predict::ForecastPolicy policy(small_params(), {}, ForecasterSpec{});
-  (void)policy.estimate(make_report(0.0, 3600.0, {0.10}));
-  EXPECT_EQ(policy.score().count(), 0u);  // nothing to score yet
-  (void)policy.estimate(make_report(3600.0, 3600.0, {0.14}));
-  EXPECT_EQ(policy.score().count(), 1u);
-  // Persistence forecast 0.10 vs measured 0.14.
-  EXPECT_NEAR(policy.score().mae(), 0.04, 1e-12);
-  EXPECT_NEAR(policy.score().under_fraction(), 1.0, 1e-12);
-}
-
-TEST(ForecastPolicy, LastForecastExposesPerChannelPrediction) {
-  predict::ForecastPolicy policy(small_params(), {}, ForecasterSpec{});
+TEST(ModelBasedPolicy, LastForecastExposesPerChannelPrediction) {
+  core::ModelBasedPolicy policy(small_params(), {});
   EXPECT_LT(policy.last_forecast(0), 0.0);  // before any estimate
   (void)policy.estimate(make_report(0.0, 3600.0, {0.10, 0.30}));
   EXPECT_NEAR(policy.last_forecast(0), 0.10, 1e-12);
@@ -407,10 +372,10 @@ TEST(ForecastPolicy, LastForecastExposesPerChannelPrediction) {
   EXPECT_LT(policy.last_forecast(5), 0.0);  // out of range
 }
 
-TEST(ForecastPolicy, HoltKindAnticipatesARisingRamp) {
+TEST(ModelBasedPolicy, HoltForecasterAnticipatesARisingRamp) {
   ForecasterSpec spec;
   spec.kind = ForecasterKind::kHolt;
-  predict::ForecastPolicy policy(small_params(), {}, spec);
+  core::ModelBasedPolicy policy(small_params(), {}, spec);
   double measured = 0.05;
   for (int k = 0; k < 10; ++k) {
     (void)policy.estimate(make_report(3600.0 * k, 3600.0, {measured}));
@@ -420,15 +385,20 @@ TEST(ForecastPolicy, HoltKindAnticipatesARisingRamp) {
   EXPECT_GT(policy.last_forecast(0), measured - 0.02 + 1e-9);
 }
 
-TEST(ForecastPolicy, NameIncludesKind) {
+TEST(ModelBasedPolicy, NameIncludesForecasterKind) {
   ForecasterSpec spec;
   spec.kind = ForecasterKind::kHoltWinters;
-  predict::ForecastPolicy policy(small_params(), {}, spec);
-  EXPECT_EQ(policy.name(), "forecast:holt-winters");
+  EXPECT_EQ(core::ModelBasedPolicy(small_params(), {}, spec).name(),
+            "model-based:holt-winters");
+  EXPECT_EQ(core::ModelBasedPolicy(small_params(), {}).name(), "model-based");
+  EXPECT_EQ(core::ModelBasedPolicy(small_params(), {},
+                                   [](int, double, double) { return 0.1; })
+                .name(),
+            "clairvoyant");
 }
 
-TEST(ForecastPolicy, ChannelCountMustStayStable) {
-  predict::ForecastPolicy policy(small_params(), {}, ForecasterSpec{});
+TEST(ModelBasedPolicy, ChannelCountMustStayStable) {
+  core::ModelBasedPolicy policy(small_params(), {});
   (void)policy.estimate(make_report(0.0, 3600.0, {0.1, 0.2}));
   EXPECT_THROW((void)policy.estimate(make_report(3600.0, 3600.0, {0.1})),
                util::PreconditionError);

@@ -166,9 +166,44 @@ TEST(ParamGrid, P2pCapAndForecasterApply) {
   EXPECT_EQ(cfg.p2p.demand_cap, core::P2pDemandCap::kProvisionedBandwidth);
 
   apply_parameter(cfg, "forecaster", "holt-winters");
-  EXPECT_EQ(cfg.strategy, expr::Strategy::kForecast);
+  EXPECT_EQ(cfg.strategy, expr::Strategy::kModelBased);
   EXPECT_EQ(cfg.forecaster.kind, predict::ForecasterKind::kHoltWinters);
   EXPECT_EQ(cfg.forecaster.period, 24);
+}
+
+TEST(ParamGrid, ForecasterLeavesStrategyAlone) {
+  expr::ExperimentConfig cfg =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
+  apply_parameter(cfg, "strategy", "reactive");
+  apply_parameter(cfg, "forecaster", "holt");
+  EXPECT_EQ(cfg.strategy, expr::Strategy::kReactive);
+  EXPECT_EQ(cfg.forecaster.kind, predict::ForecasterKind::kHolt);
+}
+
+// A forecaster axis crossed with baseline strategies must not relabel
+// model runs as baselines: the baseline rows ignore the forecaster.
+TEST(SweepRunner, ForecasterAxisOnlyAffectsModelRows) {
+  SweepSpec spec;
+  spec.grid.add_axis("channels", {"3"});
+  spec.grid.add_axis("strategy", {"reactive", "static", "model"});
+  spec.warmup_hours = 0.5;
+  spec.measure_hours = 1.5;  // the t = 1 h plan runs on a Holt forecast
+  const SweepResult plain = SweepRunner::run(spec);
+  spec.grid.add_axis("forecaster", {"holt"});
+  const SweepResult holt = SweepRunner::run(spec);
+  ASSERT_EQ(plain.runs.size(), 3u);
+  ASSERT_EQ(holt.runs.size(), 3u);
+
+  const auto metrics = [](RunSummary row) {
+    row.point = {};
+    return row.to_json().dump();
+  };
+  EXPECT_NE(metrics(holt.runs[0]), metrics(holt.runs[1]));
+  EXPECT_NE(metrics(holt.runs[0]), metrics(holt.runs[2]));
+  EXPECT_NE(metrics(holt.runs[1]), metrics(holt.runs[2]));
+  EXPECT_EQ(metrics(holt.runs[0]), metrics(plain.runs[0]));  // reactive
+  EXPECT_EQ(metrics(holt.runs[1]), metrics(plain.runs[1]));  // static
+  EXPECT_NE(metrics(holt.runs[2]), metrics(plain.runs[2]));  // model + Holt
 }
 
 TEST(ParamGrid, RegionAppliesFederationDerivation) {
