@@ -7,14 +7,11 @@
 //      change predicted peer supply vs the homogeneous mean-field (G = 1)?
 //   2. Does *inequality* (same mean, more spread) change how much the cloud
 //      must provision — and if not, what does it change?
-// Plus end to end on the sweep engine (part 3): the ablation_hetero golden
-// preset's uplink_shape axis varies the Pareto tail at fixed mean through
-// full simulations. `tool_sweep --golden=ablation_hetero` replays the
-// downsized grid.
+// The end-to-end counterpart, the uplink_shape axis varying the Pareto
+// tail at fixed mean through full simulations, is the ablation_hetero
+// profile: `tool_sweep --golden=ablation_hetero --paper`.
 //
-// Flags: --rate=0.1 --chunks=20 --classes=8 --e2e=true
-//        --hours=12 --warmup=2 --seed=42 --threads=<hardware>
-//        --out=results/ablation_hetero
+// Flags: --rate=0.1 --chunks=20 --classes=8
 
 #include <cstdio>
 #include <numeric>
@@ -27,9 +24,6 @@
 #include "core/p2p.h"
 #include "core/params.h"
 #include "expr/flags.h"
-#include "profile/profile.h"
-#include "sweep/goldens.h"
-#include "sweep/sweep_runner.h"
 #include "workload/distributions.h"
 #include "workload/viewing.h"
 
@@ -156,38 +150,5 @@ int main(int argc, char** argv) {
       "fast-share column shows a shrinking minority of peers carrying a "
       "growing share of the upload — the accounting a provider needs for "
       "per-class incentives or quotas, invisible to the mean-field.\n");
-
-  if (!flags.get("e2e", true)) return 0;
-
-  // --- part 3: end to end on the sweep engine ------------------------------
-  profile::Profile prof = sweep::golden_preset("ablation_hetero").profile;
-  prof.warmup_hours = 2.0;
-  prof.measure_hours = 12.0;
-  sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
-  spec.apply_flags(flags);
-
-  std::printf("\nPart 3: full simulations, Pareto tail varied at fixed mean "
-              "(P2P, %.0f h per point, seed %llu)\n",
-              spec.measure_hours,
-              static_cast<unsigned long long>(spec.base_seed));
-  std::printf("%14s %12s %12s %12s %9s\n", "Pareto shape", "reserved",
-              "cloud used", "peer used", "quality");
-
-  const sweep::SweepResult result = sweep::SweepRunner::run(spec);
-  for (const sweep::RunSummary& run : result.runs) {
-    std::printf("%14s %12.1f %12.1f %12.1f %9.3f\n",
-                run.point.coords.back().second.c_str(),
-                run.mean_reserved_mbps, run.mean_used_cloud_mbps,
-                run.mean_used_peer_mbps, run.mean_quality);
-  }
-  std::printf("(each shape draws a different peer population — rows are "
-              "independently seeded — but cloud bandwidth should stay in "
-              "the same band: the mean, not the spread, is what the cloud "
-              "sees)\n");
-
-  const std::string out =
-      flags.get("out", std::string("results/ablation_hetero"));
-  result.write(out);
-  std::printf("\n[csv]  %s.csv\n[json] %s.json\n", out.c_str(), out.c_str());
   return 0;
 }

@@ -5,36 +5,27 @@
 // the provisioned requirement m_i * R — flatly contradicting the paper's
 // headline result that P2P cuts the cloud bill ~11x (Figs. 4/10). This
 // bench computes the cloud residual under both readings across peer-uplink
-// ratios, then runs the end-to-end comparison on the sweep engine: the
-// ablation_p2p_cap golden preset's p2p_cap={literal,bandwidth} axis, both
-// cells facing the byte-identical workload (the cap is system-side), which
-// demonstrates why DESIGN.md adopts the bandwidth-consistent cap as the
-// default. `tool_sweep --golden=ablation_p2p_cap` replays the downsized
-// grid.
-//
-// Flags: --hours=12 --warmup=2 --seed=42 --threads=<hardware>
-//        --out=results/ablation_p2p_cap
+// ratios. The end-to-end comparison, the p2p_cap={literal,bandwidth} axis
+// with both cells facing the byte-identical workload (the cap is
+// system-side), is the ablation_p2p_cap profile:
+// `tool_sweep --golden=ablation_p2p_cap --paper`. Under the literal cap
+// the P2P deployment reserves almost as much cloud as client-server, so
+// the paper's ~11x saving is only reproducible with the
+// bandwidth-consistent reading, which is the default.
 
 #include <cstdio>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "core/capacity.h"
 #include "core/jackson.h"
 #include "core/p2p.h"
-#include "expr/flags.h"
-#include "expr/runner.h"
-#include "profile/profile.h"
-#include "sweep/goldens.h"
-#include "sweep/sweep_runner.h"
 #include "util/units.h"
 #include "workload/viewing.h"
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
-  const expr::Flags flags(argc, argv);
+int main() {
   const core::VodParameters params;
   const workload::ViewingBehavior behavior;
   const util::Matrix transfer = behavior.transfer_matrix(params.chunks_per_video);
@@ -78,39 +69,5 @@ int main(int argc, char** argv) {
               "cap can never offload more than %.0f%% of it)\n",
               util::to_mbps(capacity.total_bandwidth),
               100.0 * params.streaming_rate / params.vm_bandwidth);
-
-  // ------------------------------------------- end-to-end on the sweep engine
-  profile::Profile prof = sweep::golden_preset("ablation_p2p_cap").profile;
-  prof.warmup_hours = 2.0;
-  prof.measure_hours = 12.0;
-  sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
-  spec.apply_flags(flags);
-
-  std::printf("\nend-to-end (%.0f h P2P simulation, seed %llu, shared "
-              "workload):\n",
-              spec.measure_hours,
-              static_cast<unsigned long long>(spec.base_seed));
-
-  const sweep::SweepResult result = sweep::SweepRunner::run(spec);
-  // Grid order: p2p_cap={literal,bandwidth}.
-  const sweep::RunSummary& literal_run = result.runs[0];
-  const sweep::RunSummary& bandwidth_run = result.runs[1];
-  std::printf("%-24s %12s %12s\n", "", "literal", "bandwidth");
-  std::printf("%-24s %12.1f %12.1f\n", "reserved (Mbps)",
-              literal_run.mean_reserved_mbps, bandwidth_run.mean_reserved_mbps);
-  std::printf("%-24s %12.2f %12.2f\n", "cost ($/h)",
-              literal_run.cost_per_hour, bandwidth_run.cost_per_hour);
-  std::printf("%-24s %12.3f %12.3f\n", "quality",
-              literal_run.mean_quality, bandwidth_run.mean_quality);
-
-  const std::string out =
-      flags.get("out", std::string("results/ablation_p2p_cap"));
-  result.write(out);
-  std::printf("\n[csv]  %s.csv\n[json] %s.json\n", out.c_str(), out.c_str());
-
-  std::printf("\nreading: under the literal cap the P2P deployment reserves "
-              "almost as much cloud as client-server — the paper's ~11x "
-              "saving is only reproducible with the bandwidth-consistent "
-              "reading.\n");
   return 0;
 }

@@ -20,6 +20,23 @@ function(add_smoke_test name target)
     TIMEOUT ${CLOUDMEDIA_SMOKE_TIMEOUT})
 endfunction()
 
+# add_exit_test(<name> <code> <output-regex> <target> [args...]) — a smoke
+# test that passes only when the run exits with exactly <code> and prints
+# (stdout or stderr) something matching <output-regex>. A crash fails it.
+function(add_exit_test name code regex target)
+  if(NOT TARGET ${target})
+    message(WARNING "smoke test ${name}: target ${target} missing, skipped")
+    return()
+  endif()
+  add_test(NAME smoke.${name} COMMAND ${CMAKE_COMMAND}
+    -DEXPECT_CODE=${code} "-DEXPECT_OUTPUT=${regex}"
+    -P ${PROJECT_SOURCE_DIR}/cmake/ExpectExit.cmake
+    -- $<TARGET_FILE:${target}> ${ARGN})
+  set_tests_properties(smoke.${name} PROPERTIES
+    LABELS "smoke"
+    TIMEOUT ${CLOUDMEDIA_SMOKE_TIMEOUT})
+endfunction()
+
 if(CLOUDMEDIA_BUILD_EXAMPLES)
   add_smoke_test(quickstart example_quickstart)
   add_smoke_test(capacity_planning example_capacity_planning)
@@ -88,6 +105,44 @@ if(CLOUDMEDIA_BUILD_TOOLS)
     set_tests_properties(smoke.shard_merge_diff PROPERTIES
       DEPENDS smoke.sweep_merge)
   endif()
+
+  # Every figure and sweep ablation is a golden preset: run each end to
+  # end through the CLI at its golden horizon (CI's Figures step also runs
+  # the ones with a paper block at the paper's horizon via --paper).
+  foreach(figure IN ITEMS
+      fig04:fig04_provisioning fig05:fig05_quality fig06:fig06_modes
+      fig07:fig07_bandwidth_scaling fig08:fig08_storage_utility
+      fig09:fig09_vm_utility fig10:fig10_vm_cost
+      fig11:fig11_peer_sufficiency ablation_boot_delay:ablation_boot_delay
+      ablation_chunk_size:ablation_chunk_size ablation_geo:ablation_geo
+      ablation_strategies:ablation_strategies)
+    string(REPLACE ":" ";" figure "${figure}")
+    list(GET figure 0 test_name)
+    list(GET figure 1 preset)
+    add_smoke_test(${test_name} tool_sweep --golden=${preset} --threads=2
+      --out=${CMAKE_BINARY_DIR}/artifacts/figures/${preset})
+  endforeach()
+  # Literal vs pooled sizing has no preset (a new golden would change the
+  # committed golden set); it is one plain grid.
+  add_smoke_test(ablation_pooling tool_sweep --grid capacity=literal,pooled
+    --grid arrival=0.14,0.28,0.55,1.1 --hours=1 --warmup=0.25 --seed=42
+    --threads=2 --out=${CMAKE_BINARY_DIR}/artifacts/ablation_pooling)
+  # Paper claims as data: Fig. 10 at the paper's 4 + 24 h horizon, both
+  # claims checked (exit 0 when each is ok or a recorded gap) ...
+  add_smoke_test(paper_claims tool_sweep --golden=fig10_vm_cost --paper
+    --threads=2 --out=${CMAKE_BINARY_DIR}/artifacts/fig10_vm_cost_paper)
+  # ... and a claim that cannot hold must fail the run with exit 1.
+  add_exit_test(paper_claims_miss 1 "MISS" tool_sweep
+    --profile=${PROJECT_SOURCE_DIR}/tests/data/paper_miss.json --paper
+    --threads=1 --out=${CMAKE_BINARY_DIR}/artifacts/paper_miss)
+  # Usage errors print `error: <why>` and exit 2 instead of aborting.
+  add_exit_test(usage_error_frozen_flag 2
+    "error: --hours conflicts with --golden" tool_sweep
+    --golden=ablation_strategies --hours=48)
+  add_exit_test(usage_error_grid 2 "error: .*bogus" tool_sweep
+    --grid bogus=1)
+  add_exit_test(usage_error_fuzz 2 "error: --runs must be >= 1" tool_fuzz
+    --runs=0)
 endif()
 
 # The sweep engine's contract tests — thread-count determinism, the
@@ -99,35 +154,12 @@ if(TARGET sweep_test)
     --gtest_filter=SweepRunner.*:ScenarioCatalog.*:ParamGrid.*)
 endif()
 
-# One downscaled bench per paper-figure family (fig04–fig11) and per
-# sweep-engine ablation — every migrated bench stays runnable end to end.
+# The analytic ablations (their sweep halves are the presets above).
 if(CLOUDMEDIA_BUILD_BENCH)
-  set(CLOUDMEDIA_SMOKE_ARGS --hours=2 --warmup=1 --seed=42)
-  add_smoke_test(fig04 bench_fig04_capacity_provisioning ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig05 bench_fig05_streaming_quality ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig06 bench_fig06_quality_vs_channel_size ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig07 bench_fig07_bandwidth_vs_channel_size ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig08 bench_fig08_storage_utility ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig09 bench_fig09_vm_utility ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig10 bench_fig10_vm_cost ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig11 bench_fig11_peer_bandwidth_sufficiency ${CLOUDMEDIA_SMOKE_ARGS})
-  set(CLOUDMEDIA_ABLATION_SMOKE_ARGS --hours=1 --warmup=0.25 --seed=42)
-  add_smoke_test(ablation_boot_delay bench_ablation_boot_delay
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_chunk_size bench_ablation_chunk_size
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_geo bench_ablation_geo
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_hetero bench_ablation_hetero
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_p2p_cap bench_ablation_p2p_cap
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_prediction bench_ablation_prediction
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS} --days=1)
-  add_smoke_test(ablation_pooling bench_ablation_pooling
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_strategies bench_ablation_strategies
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
+  add_smoke_test(ablation_hetero bench_ablation_hetero)
+  add_smoke_test(ablation_p2p_cap bench_ablation_p2p_cap)
+  add_smoke_test(ablation_prediction bench_ablation_prediction --days=1
+    --seed=42)
   # Sweep-engine throughput tracker (3x3 grid, downsized horizon).
   add_smoke_test(sweep_bench bench_sweep_smoke --hours=0.25 --warmup=0.1
     --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_sweep.json)

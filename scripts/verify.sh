@@ -5,8 +5,9 @@
 #
 #   (default)  tier-1 verify: the full CTest suite (unit + integration +
 #              smoke) — the gate every commit must pass.
-#   --smoke    only the smoke tier: fast pass/fail figure benches, the
-#              tool_sweep demo grid, and the sweep determinism tests.
+#   --smoke    only the smoke tier: fast pass/fail figure presets, the
+#              paper-claims check, the tool_sweep demo grid, and the
+#              sweep determinism tests.
 #   --golden   the figures gate CI runs on every commit: every golden
 #              preset executed on 1 thread and on all cores, the two CSVs
 #              byte-compared, and the result diffed against the committed

@@ -7,7 +7,7 @@
 
 namespace cloudmedia::expr {
 
-/// Everything a figure bench needs after one run.
+/// Everything a caller needs after one run.
 struct ExperimentResult {
   vod::SystemMetrics metrics;
   double measure_start = 0.0;   ///< seconds; warmup boundary

@@ -1,5 +1,6 @@
 #include "profile/profile.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,14 +34,19 @@ const char* type_name(const util::JsonValue& value) {
   throw util::PreconditionError("profile key '" + key + "': " + why);
 }
 
-[[noreturn]] void fail_unknown_key(const std::string& key) {
-  std::string valid;
-  for (const std::string& known : profile_keys()) {
-    if (!valid.empty()) valid += ", ";
-    valid += known;
+std::string join(const std::vector<std::string>& names) {
+  std::string text;
+  for (const std::string& name : names) {
+    if (!text.empty()) text += ", ";
+    text += name;
   }
+  return text;
+}
+
+[[noreturn]] void fail_unknown_key(const std::string& key) {
   throw util::PreconditionError("unknown profile key '" + key +
-                                "' (valid keys: " + valid + ")");
+                                "' (valid keys: " + join(profile_keys()) +
+                                ")");
 }
 
 double require_number(const std::string& key, const util::JsonValue& value) {
@@ -92,15 +98,6 @@ std::uint64_t parse_seed(const util::JsonValue& value) {
   } catch (const std::exception&) {
     fail_key("seed", "'" + text + "' does not fit in 64 bits");
   }
-}
-
-std::size_t parse_series_stride(const util::JsonValue& value) {
-  const double n = require_number("series_stride", value);
-  if (!(n >= 1.0) || n != std::floor(n)) {
-    fail_key("series_stride", "expected an integer >= 1, got " +
-                                  util::format_number(n));
-  }
-  return static_cast<std::size_t>(n);
 }
 
 sweep::ParamGrid parse_grid(const util::JsonValue& value) {
@@ -174,14 +171,189 @@ std::vector<std::pair<std::string, std::string>> parse_overrides(
   return overrides;
 }
 
+bool contains(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// Walk the members of the object `where`, which must have every key of
+/// `required` and may have `optional` ones; anything else is an error
+/// naming the block and listing its keys. (Repeated keys never get here:
+/// the JSON parser keeps the last one.)
+template <typename Visit>
+void for_each_member(const std::string& where, const util::JsonValue& value,
+                     const std::vector<std::string>& required,
+                     const std::vector<std::string>& optional, Visit visit) {
+  if (!value.is_object()) {
+    fail_key(where, std::string("expected an object, got ") + type_name(value));
+  }
+  for (const auto& [key, member] : value.members()) {
+    if (!contains(required, key) && !contains(optional, key)) {
+      fail_key(where, "unknown key '" + key + "' (valid keys: " +
+                          join(required) + ", " + join(optional) + ")");
+    }
+    visit(key, member);
+  }
+  for (const std::string& key : required) {
+    if (value.find(key) == nullptr) {
+      fail_key(where, "is missing \"" + key + "\"");
+    }
+  }
+}
+
+PaperClaim parse_claim(const util::JsonValue& value) {
+  PaperClaim claim;
+  for_each_member(
+      "paper.claims", value, {"cell", "metric", "paper", "tolerance"}, {"gap"},
+      [&claim](const std::string& key, const util::JsonValue& member) {
+        const std::string where = "paper.claims." + key;
+        if (key == "cell") claim.cell = require_string(where, member);
+        if (key == "metric") claim.metric = require_string(where, member);
+        if (key == "paper") claim.paper = require_number(where, member);
+        if (key == "tolerance") {
+          claim.tolerance = require_number(where, member);
+        }
+        if (key == "gap") claim.gap = require_string(where, member);
+      });
+  return claim;
+}
+
+PaperBlock parse_paper(const util::JsonValue& value) {
+  PaperBlock block;
+  for_each_member(
+      "paper", value, {"warmup_hours", "measure_hours"}, {"claims"},
+      [&block](const std::string& key, const util::JsonValue& member) {
+        if (key == "warmup_hours") {
+          block.warmup_hours = require_number("paper.warmup_hours", member);
+        } else if (key == "measure_hours") {
+          block.measure_hours = require_number("paper.measure_hours", member);
+        } else {
+          if (!member.is_array()) {
+            fail_key("paper.claims", std::string("expected an array, got ") +
+                                         type_name(member));
+          }
+          for (const util::JsonValue& entry : member.items()) {
+            block.claims.push_back(parse_claim(entry));
+          }
+        }
+      });
+  return block;
+}
+
+util::JsonValue paper_to_json(const PaperBlock& block) {
+  util::JsonValue doc = util::JsonValue::object();
+  doc["warmup_hours"] = block.warmup_hours;
+  doc["measure_hours"] = block.measure_hours;
+  if (!block.claims.empty()) {
+    util::JsonValue claims = util::JsonValue::array();
+    for (const PaperClaim& claim : block.claims) {
+      util::JsonValue entry = util::JsonValue::object();
+      entry["cell"] = claim.cell;
+      entry["metric"] = claim.metric;
+      entry["paper"] = claim.paper;
+      entry["tolerance"] = claim.tolerance;
+      if (!claim.gap.empty()) entry["gap"] = claim.gap;
+      claims.push_back(std::move(entry));
+    }
+    doc["claims"] = std::move(claims);
+  }
+  return doc;
+}
+
+/// `prefix` names the block the horizon belongs to ("" or "paper.").
+void validate_horizon(const std::string& prefix, double warmup_hours,
+                      double measure_hours) {
+  if (!(warmup_hours >= 0.0) || !std::isfinite(warmup_hours)) {
+    fail_key(prefix + "warmup_hours",
+             "must be a finite number of hours >= 0, got " +
+                 util::format_number(warmup_hours));
+  }
+  if (!(measure_hours > 0.0) || !std::isfinite(measure_hours)) {
+    fail_key(prefix + "measure_hours",
+             "must be a finite number of hours > 0, got " +
+                 util::format_number(measure_hours));
+  }
+}
+
+void validate_paper(const PaperBlock& block, const sweep::ParamGrid& grid) {
+  validate_horizon("paper.", block.warmup_hours, block.measure_hours);
+  if (block.claims.empty()) return;
+  std::vector<std::string> cells;
+  for (std::size_t i = 0; i < grid.num_points(); ++i) {
+    cells.push_back(grid.point(i).label());
+  }
+  for (const PaperClaim& claim : block.claims) {
+    if (!contains(cells, claim.cell)) {
+      fail_key("paper.claims.cell",
+               "'" + claim.cell + "' is not a cell of the grid (valid "
+               "cells: " + join(cells) + ")");
+    }
+    if (!contains(sweep::metric_columns(), claim.metric)) {
+      fail_key("paper.claims.metric",
+               "'" + claim.metric + "' is not a metric column (valid "
+               "metrics: " + join(sweep::metric_columns()) + ")");
+    }
+    if (claim.paper == 0.0 || !std::isfinite(claim.paper)) {
+      fail_key("paper.claims.paper",
+               "must be finite and non-zero (errors are relative to it), "
+               "got " + util::format_number(claim.paper));
+    }
+    if (!(claim.tolerance > 0.0) || !std::isfinite(claim.tolerance)) {
+      fail_key("paper.claims.tolerance",
+               "must be a finite relative error > 0, got " +
+                   util::format_number(claim.tolerance));
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& profile_keys() {
   static const std::vector<std::string> keys = {
-      "name",  "description", "scenario",       "seed",  "warmup_hours",
-      "measure_hours", "grid", "overrides", "series_stride", "shard",
+      "name",          "description", "scenario",  "seed",  "warmup_hours",
+      "measure_hours", "grid",        "overrides", "shard", "paper",
   };
   return keys;
+}
+
+std::string ClaimCheck::status_text() const {
+  switch (status) {
+    case Status::kOk:
+      return "ok";
+    case Status::kGap:
+      return "gap: " + claim.gap;
+    case Status::kMiss:
+      return "MISS";
+  }
+  return "MISS";
+}
+
+std::vector<ClaimCheck> check_claims(const PaperBlock& block,
+                                     const sweep::SweepResult& result) {
+  std::vector<ClaimCheck> checks;
+  for (const PaperClaim& claim : block.claims) {
+    const auto run = std::find_if(
+        result.runs.begin(), result.runs.end(),
+        [&claim](const sweep::RunSummary& r) {
+          return r.point.label() == claim.cell;
+        });
+    if (run == result.runs.end()) {
+      throw util::PreconditionError("paper claim on cell '" + claim.cell +
+                                    "': the sweep has no such row (claims "
+                                    "need the whole grid, not a shard)");
+    }
+    ClaimCheck check;
+    check.claim = claim;
+    check.measured = sweep::metric_value(*run, claim.metric);
+    check.relative_error = check.measured / claim.paper - 1.0;
+    if (std::fabs(check.relative_error) <= claim.tolerance) {
+      check.status = ClaimCheck::Status::kOk;
+    } else {
+      check.status = claim.gap.empty() ? ClaimCheck::Status::kMiss
+                                       : ClaimCheck::Status::kGap;
+    }
+    checks.push_back(std::move(check));
+  }
+  return checks;
 }
 
 Profile Profile::from_json(const util::JsonValue& doc,
@@ -213,10 +385,10 @@ Profile Profile::from_json(const util::JsonValue& doc,
       p.grid = parse_grid(value);
     } else if (key == "overrides") {
       p.overrides = parse_overrides(value);
-    } else if (key == "series_stride") {
-      p.series_stride = parse_series_stride(value);
     } else if (key == "shard") {
       p.shard = sweep::ShardSpec::parse(require_string(key, value));
+    } else if (key == "paper") {
+      p.paper = parse_paper(value);
     } else {
       fail_unknown_key(key);
     }
@@ -253,7 +425,6 @@ Profile Profile::from_spec(const sweep::SweepSpec& spec, std::string name,
   p.measure_hours = spec.measure_hours;
   p.grid = spec.grid;
   p.overrides = spec.overrides;
-  p.series_stride = spec.series_stride;
   p.shard = spec.shard;
   return p;
 }
@@ -284,28 +455,17 @@ util::JsonValue Profile::to_json() const {
     for (const auto& [parameter, value] : overrides) fixed[parameter] = value;
     doc["overrides"] = std::move(fixed);
   }
-  if (series_stride != 1) {
-    doc["series_stride"] = static_cast<double>(series_stride);
-  }
   if (!shard.whole()) doc["shard"] = shard.label();
+  if (paper) doc["paper"] = paper_to_json(*paper);
   return doc;
 }
 
 void Profile::validate(const sweep::ScenarioCatalog& catalog) const {
-  if (!(warmup_hours >= 0.0) || !std::isfinite(warmup_hours)) {
-    fail_key("warmup_hours",
-             "must be a finite number of hours >= 0, got " +
-                 util::format_number(warmup_hours));
-  }
-  if (!(measure_hours > 0.0) || !std::isfinite(measure_hours)) {
-    fail_key("measure_hours",
-             "must be a finite number of hours > 0, got " +
-                 util::format_number(measure_hours));
-  }
-  if (series_stride < 1) fail_key("series_stride", "must be >= 1");
+  validate_horizon("", warmup_hours, measure_hours);
   if (shard.count < 1 || shard.index >= shard.count) {
     fail_key("shard", "must be k/N with 0 <= k < N, got " + shard.label());
   }
+  if (paper) validate_paper(*paper, grid);
   // The scenario expression (including any `@` fire times) resolves
   // against the catalog — unknown parts and malformed times throw the
   // resolver's teaching errors.
@@ -350,7 +510,6 @@ SweepSpec SweepSpec::from_profile(const profile::Profile& p) {
   spec.threads = 0;  // execution knob: hardware by default, never in a profile
   spec.warmup_hours = p.warmup_hours;
   spec.measure_hours = p.measure_hours;
-  spec.series_stride = p.series_stride;
   spec.shard = p.shard;
   spec.overrides = p.overrides;
   return spec;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,22 +13,66 @@
 
 namespace cloudmedia::profile {
 
+/// One value the paper reports, checked against one cell of the sweep.
+struct PaperClaim {
+  std::string cell;        ///< GridPoint::label() of a cell of the grid
+  std::string metric;      ///< a RunSummary metric column (metric_columns())
+  double paper = 0.0;      ///< the paper's value; finite and non-zero
+  /// Largest |measured / paper - 1| that still counts as reproduced; > 0.
+  /// Set from the paper's stated precision (half a unit in the last
+  /// printed digit, relative to the value), never from the measurement.
+  double tolerance = 0.0;
+  /// Why the measurement misses the paper, or "unexplained". Empty means
+  /// the claim must hold: a miss then fails `tool_sweep --paper`.
+  std::string gap;
+};
+
+/// The paper's side of a profile: the horizon its figure was produced at
+/// and the values it reports. Kept out of SweepSpec and spec_hash() — it
+/// describes the experiment, it does not change what a sweep computes.
+struct PaperBlock {
+  double warmup_hours = 0.0;   ///< finite, >= 0
+  double measure_hours = 0.0;  ///< finite, > 0
+  std::vector<PaperClaim> claims;
+};
+
+/// A PaperClaim measured on a finished sweep.
+struct ClaimCheck {
+  enum class Status { kOk, kGap, kMiss };
+
+  PaperClaim claim;
+  double measured = 0.0;
+  double relative_error = 0.0;  ///< measured / paper - 1
+  Status status = Status::kOk;
+
+  /// "ok", "gap: <the claim's gap text>" or "MISS".
+  [[nodiscard]] std::string status_text() const;
+};
+
+/// Measure every claim of `block` on `result`: ok within tolerance,
+/// otherwise gap when the claim records one, else MISS. Throws
+/// util::PreconditionError when a claim's cell is not among the result's
+/// rows (e.g. a sharded run).
+[[nodiscard]] std::vector<ClaimCheck> check_claims(
+    const PaperBlock& block, const sweep::SweepResult& result);
+
 /// A complete, declarative description of one experiment/sweep — the JSON
 /// experiment-profile schema. Everything that defines *what a sweep
 /// computes* lives here: the scenario expression (including `@` timeline
-/// ops), the grid axes, fixed parameter overrides, seed, horizon, series
-/// stride, and shard slice. Execution knobs that cannot change the output
-/// bytes (threads, keep_results, customize, sink) deliberately stay out —
-/// they belong to SweepSpec, and `tool_sweep --dump-profile` proves the
-/// profile side round-trips losslessly: JSON -> Profile ->
+/// ops), the grid axes, fixed parameter overrides, seed, horizon, and
+/// shard slice — plus, optionally, what the paper reports for it (the
+/// `paper` block, see PaperBlock). Execution knobs that cannot change the
+/// output bytes (threads, keep_results, customize, sink) deliberately stay
+/// out — they belong to SweepSpec, and `tool_sweep --dump-profile` proves
+/// the profile side round-trips losslessly: JSON -> Profile ->
 /// SweepSpec::from_profile -> Profile::from_spec -> identical JSON.
 ///
 /// The three historical SweepSpec construction paths (golden presets in
 /// C++, bench hand-builds, CLI flags) all collapse onto this type: the 19
 /// golden presets are committed profiles/*.json embedded at build time,
-/// `tool_sweep` builds its spec from a Profile in every mode, the figure
-/// benches start from a preset's profile and override declarative fields,
-/// and `tool_fuzz` composes random Profiles and checks invariants.
+/// `tool_sweep` builds its spec from a Profile in every mode (and
+/// `--paper` checks a preset's claims), and `tool_fuzz` composes random
+/// Profiles and checks invariants.
 ///
 /// JSON schema (all keys optional; unknown keys are rejected with a
 /// teaching error naming the key and listing the valid ones):
@@ -45,8 +90,15 @@ namespace cloudmedia::profile {
 ///     "overrides": {"engine": "auto"},      // fixed parameters, applied
 ///                                           // after the scenario and
 ///                                           // before the grid point
-///     "series_stride": 4,                   // integer >= 1
-///     "shard": "0/2"                        // k/N slice of the grid
+///     "shard": "0/2",                       // k/N slice of the grid
+///     "paper": {                            // the paper's side, see
+///       "warmup_hours": 4,                  // PaperBlock; never part of
+///       "measure_hours": 24,                // the SweepSpec
+///       "claims": [
+///         {"cell": "mode=cs", "metric": "cost_per_hour", "paper": 48,
+///          "tolerance": 0.011, "gap": "unexplained"}
+///       ]
+///     }
 ///   }
 ///
 /// Values inside "grid" and "overrides" may be JSON strings or numbers;
@@ -68,15 +120,19 @@ struct Profile {
   /// (so a grid axis wins over an override of the same parameter). Kept
   /// in insertion order for byte-stable serialization.
   std::vector<std::pair<std::string, std::string>> overrides;
-  std::size_t series_stride = 1;
   sweep::ShardSpec shard;
+  /// What the paper reports for this experiment (optional). Its claims
+  /// name cells of `grid`, so validate() checks them against it.
+  std::optional<PaperBlock> paper;
 
   /// Parse and fully validate a profile document. Throws
   /// util::PreconditionError with a teaching message on an unknown key
   /// (naming it and listing the valid keys), a wrong type, an unparsable
   /// seed, a negative/non-finite horizon, a malformed scenario expression
   /// or `@` fire time, an unknown grid parameter or override, an invalid
-  /// parameter value, or a bad shard ("k/N" with k < N).
+  /// parameter value, a bad shard ("k/N" with k < N), or a paper claim
+  /// naming a cell the grid does not have or an unknown metric (both
+  /// errors list the valid names) or with a tolerance <= 0.
   [[nodiscard]] static Profile from_json(
       const util::JsonValue& doc,
       const sweep::ScenarioCatalog& catalog = sweep::ScenarioCatalog::global());
@@ -87,8 +143,9 @@ struct Profile {
       const sweep::ScenarioCatalog& catalog = sweep::ScenarioCatalog::global());
 
   /// Rebuild the declarative side of a spec (the inverse of
-  /// SweepSpec::from_profile). name/description are not spec fields, so
-  /// the caller threads them through; execution knobs are dropped.
+  /// SweepSpec::from_profile). name/description (and the paper block) are
+  /// not spec fields, so the caller threads them through; execution knobs
+  /// are dropped.
   [[nodiscard]] static Profile from_spec(const sweep::SweepSpec& spec,
                                          std::string name = {},
                                          std::string description = {});
@@ -97,10 +154,11 @@ struct Profile {
   /// identity, and dumping a loaded canonical file reproduces its bytes.
   [[nodiscard]] util::JsonValue to_json() const;
 
-  /// Re-validate the semantic constraints (horizons, stride, scenario
-  /// expression, grid/override values against the applier registry).
-  /// from_json validates on entry; call this again after mutating fields
-  /// in code, as the benches do. SweepSpec::from_profile always calls it.
+  /// Re-validate the semantic constraints (horizons, scenario expression,
+  /// grid/override values against the applier registry, paper claims
+  /// against the grid). from_json validates on entry; call this again
+  /// after mutating fields in code. SweepSpec::from_profile always calls
+  /// it.
   void validate(const sweep::ScenarioCatalog& catalog =
                     sweep::ScenarioCatalog::global()) const;
 };

@@ -36,7 +36,7 @@ void apply_parameter(expr::ExperimentConfig& config, const std::string& name,
 /// viewing behaviour) rather than the serving system (mode, policy,
 /// budgets). Only workload-shaping coordinates feed the per-run seed, so
 /// runs that differ solely in system policy face byte-identical workloads —
-/// the comparison discipline the figure benches rely on. Scenario ops
+/// the comparison discipline the paper's figures rely on. Scenario ops
 /// (ScenarioOp::workload_shaping) carry the same split for introspection,
 /// but scenario names never feed the seed — only grid coordinates do.
 [[nodiscard]] bool parameter_affects_workload(const std::string& name);

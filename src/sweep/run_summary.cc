@@ -1,5 +1,6 @@
 #include "sweep/run_summary.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -36,13 +37,6 @@ RunSummary RunSummary::from_result(std::string scenario, GridPoint point,
 
 namespace {
 
-const char* const kMetricColumns[] = {
-    "mean_quality",        "p95_quality",          "p05_quality",
-    "mean_reserved_mbps",  "mean_used_cloud_mbps", "mean_used_peer_mbps",
-    "cost_per_hour",       "covered_fraction",     "peak_users",
-    "mean_users",          "arrivals",             "sim_events",
-};
-
 std::vector<std::string> metric_values(const RunSummary& run) {
   return {
       util::format_number(run.mean_quality),
@@ -62,12 +56,37 @@ std::vector<std::string> metric_values(const RunSummary& run) {
 
 }  // namespace
 
+const std::vector<std::string>& metric_columns() {
+  static const std::vector<std::string> columns = {
+      "mean_quality",        "p95_quality",          "p05_quality",
+      "mean_reserved_mbps",  "mean_used_cloud_mbps", "mean_used_peer_mbps",
+      "cost_per_hour",       "covered_fraction",     "peak_users",
+      "mean_users",          "arrivals",             "sim_events",
+  };
+  return columns;
+}
+
+double metric_value(const RunSummary& run, const std::string& column) {
+  const std::vector<std::string>& columns = metric_columns();
+  if (std::find(columns.begin(), columns.end(), column) == columns.end()) {
+    std::string valid;
+    for (const std::string& name : columns) {
+      if (!valid.empty()) valid += ", ";
+      valid += name;
+    }
+    throw util::PreconditionError("unknown metric '" + column +
+                                  "' (valid metrics: " + valid + ")");
+  }
+  // The JSON row carries every metric column under its CSV name.
+  return run.to_json().at(column).as_number();
+}
+
 std::vector<std::string> SweepResult::csv_header() const {
   std::vector<std::string> header;
   header.emplace_back("scenario");
   for (const ParamAxis& axis : axes) header.push_back(axis.name);
   header.emplace_back("seed");
-  for (const char* column : kMetricColumns) header.emplace_back(column);
+  for (const std::string& column : metric_columns()) header.push_back(column);
   return header;
 }
 

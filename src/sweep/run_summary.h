@@ -53,6 +53,15 @@ struct RunSummary {
                                             std::string scenario);
 };
 
+/// The numeric metric columns of a row, in CSV order ("mean_quality" ...
+/// "sim_events") — the names a profile's paper claims may measure.
+[[nodiscard]] const std::vector<std::string>& metric_columns();
+
+/// One metric column of a row by name. Throws util::PreconditionError
+/// listing metric_columns() on an unknown name.
+[[nodiscard]] double metric_value(const RunSummary& run,
+                                  const std::string& column);
+
 /// A whole sweep: grid metadata plus one RunSummary per cell, in grid
 /// order (deterministic regardless of worker count). Full per-run
 /// ExperimentResults ride along only when the spec asked to keep them.

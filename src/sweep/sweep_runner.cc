@@ -82,12 +82,6 @@ void SweepSpec::apply_flags(const expr::Flags& flags) {
         "--hours must be a finite number of hours > 0");
   }
   measure_hours = hours;
-  const long long stride = flags.get_ll(
-      "series-stride", static_cast<long long>(series_stride));
-  if (stride < 1) {
-    throw util::PreconditionError("--series-stride must be >= 1");
-  }
-  series_stride = static_cast<std::size_t>(stride);
   if (flags.has("shard")) {
     shard = ShardSpec::parse(flags.get("shard", std::string()));
   }
@@ -144,7 +138,6 @@ std::vector<std::size_t> SweepRunner::shard_cells(std::size_t total,
 SweepResult SweepRunner::run(const SweepSpec& spec,
                              const ScenarioCatalog& catalog) {
   CM_EXPECTS(spec.warmup_hours >= 0.0 && spec.measure_hours > 0.0);
-  CM_EXPECTS(spec.series_stride >= 1);
   // Series cannot stream: a sink takes scalar rows only.
   CM_EXPECTS(!(spec.keep_results && spec.sink));
   const std::vector<std::size_t> cells =
@@ -197,12 +190,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
       return;
     }
     result.runs[slot] = std::move(summary);
-    if (spec.keep_results) {
-      // Summaries above already captured the full-resolution window stats;
-      // retained series only need the shape.
-      run_result.metrics.downsample(spec.series_stride);
-      result.results[slot] = std::move(run_result);
-    }
+    if (spec.keep_results) result.results[slot] = std::move(run_result);
   };
 
   const unsigned threads =

@@ -60,11 +60,6 @@ struct SweepSpec {
   /// SweepResult::results. Off by default: summaries are cheap, series for
   /// a big grid are not.
   bool keep_results = false;
-  /// With keep_results, retain only every k-th sample of each run's series
-  /// (1 = full resolution). RunSummary scalars are computed from the full
-  /// series *before* downsampling, so CSV/JSON output is unaffected — this
-  /// only bounds the memory a big-grid keep_results sweep holds resident.
-  std::size_t series_stride = 1;
   /// Which slice of the grid this process runs (default: all of it). The
   /// slice is schedule-neutral: it changes which cells run here, never
   /// what any cell computes, so shard outputs merge byte-identically.
@@ -90,27 +85,26 @@ struct SweepSpec {
   std::function<void(std::size_t cell, RunSummary row)> sink;
 
   /// THE construction entry point: build a spec from a declarative
-  /// profile (golden presets, tool_sweep in every mode, the figure
-  /// benches, and tool_fuzz all come through here). Validates the profile
+  /// profile (golden presets, tool_sweep in every mode, the benches, and
+  /// tool_fuzz all come through here). Validates the profile
   /// (teaching errors) and copies its declarative fields; execution knobs
   /// come back at their defaults (threads = 0 — hardware) for the caller
   /// or apply_flags to set. profile::Profile::from_spec is the inverse.
   [[nodiscard]] static SweepSpec from_profile(const profile::Profile& p);
 
   /// Read the shared schedule flags — --seed, --threads, --warmup,
-  /// --hours, --series-stride, --shard — with the spec's current values
-  /// as defaults. The one place the string-to-spec conversion (and its
-  /// validation: --threads must be >= 0, 0 meaning "hardware";
-  /// --series-stride must be >= 1; --shard must be k/N) lives for every
-  /// sweep binary.
+  /// --hours, --shard — with the spec's current values as defaults. The
+  /// one place the string-to-spec conversion (and its validation:
+  /// --threads must be >= 0, 0 meaning "hardware"; --shard must be k/N)
+  /// lives for every sweep binary.
   void apply_flags(const expr::Flags& flags);
 
   /// Hash of what the sweep *computes*: scenario expression, base seed,
   /// horizon, and the full grid (axis names + values, in order).
-  /// Schedule-neutral knobs (threads, shard, keep_results, series_stride)
-  /// are excluded, so every shard of one logical sweep shares the hash —
-  /// the header `tool_sweep --merge` uses to refuse mixing shards of
-  /// different sweeps. 16 lowercase hex digits (FNV-1a 64).
+  /// Schedule-neutral knobs (threads, shard, keep_results) are excluded,
+  /// so every shard of one logical sweep shares the hash — the header
+  /// `tool_sweep --merge` uses to refuse mixing shards of different
+  /// sweeps. 16 lowercase hex digits (FNV-1a 64).
   [[nodiscard]] std::string spec_hash() const;
 };
 

@@ -6,9 +6,8 @@
 
 namespace cloudmedia::util {
 
-/// Minimal CSV writer used by the figure benches to dump series next to the
-/// human-readable stdout report. Fields containing commas/quotes/newlines
-/// are quoted per RFC 4180.
+/// Minimal CSV writer. Fields containing commas/quotes/newlines are quoted
+/// per RFC 4180 (escape() is what the sweep outputs use).
 class CsvWriter {
  public:
   /// Opens (truncates) `path`; throws std::runtime_error on failure.

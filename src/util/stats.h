@@ -31,7 +31,7 @@ class SummaryStats {
 };
 
 /// An append-only (time, value) series with monotonically non-decreasing
-/// timestamps. Provides the aggregations the figure benches need.
+/// timestamps. Provides the aggregations the run summaries need.
 class TimeSeries {
  public:
   void add(double t, double v);
@@ -58,11 +58,6 @@ class TimeSeries {
   /// point is (window start, mean of samples in window). Empty windows are
   /// skipped.
   [[nodiscard]] TimeSeries resample(double t0, double width) const;
-
-  /// Every `stride`-th sample (indices 0, stride, 2*stride, ...); the
-  /// downsampled-retention primitive for memory-bounded sweeps. stride 1
-  /// returns the series unchanged; stride must be >= 1.
-  [[nodiscard]] TimeSeries strided(std::size_t stride) const;
 
  private:
   std::vector<double> times_;

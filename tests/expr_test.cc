@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "expr/flags.h"
-#include "expr/paper.h"
-#include "expr/report.h"
 
 namespace cloudmedia::expr {
 namespace {
@@ -71,39 +67,6 @@ TEST(Flags, SpaceFormValueIsNotAPositional) {
                 /*allow_positionals=*/true);
   EXPECT_EQ(f.get("out", std::string()), "report.json");
   EXPECT_EQ(f.positionals(), (std::vector<std::string>{"a.json"}));
-}
-
-TEST(PaperConstants, MatchTheEvaluationSection) {
-  EXPECT_DOUBLE_EQ(paper::kQualityClientServer, 0.97);
-  EXPECT_DOUBLE_EQ(paper::kQualityP2p, 0.95);
-  EXPECT_DOUBLE_EQ(paper::kVmCostClientServer, 48.0);
-  EXPECT_DOUBLE_EQ(paper::kVmCostP2p, 4.27);
-  EXPECT_DOUBLE_EQ(paper::kStorageCostPerDay, 0.018);
-  EXPECT_DOUBLE_EQ(paper::kVmBootSeconds, 25.0);
-  EXPECT_EQ(paper::kFig11Ratios.size(), 3u);
-  EXPECT_DOUBLE_EQ(paper::kFig11Ratios[0], 0.9);
-  EXPECT_DOUBLE_EQ(paper::kFig11Quality[2], 1.0);
-}
-
-TEST(Report, PrintsAndWritesCsv) {
-  util::TimeSeries series;
-  for (int i = 0; i < 10; ++i) series.add(i * 600.0, static_cast<double>(i));
-  testing::internal::CaptureStdout();
-  print_series_table("demo", {{"value", &series}}, 0.0, 6000.0, 3600.0,
-                     "test_report_demo");
-  const std::string out = testing::internal::GetCapturedStdout();
-  EXPECT_NE(out.find("demo"), std::string::npos);
-  EXPECT_NE(out.find("value"), std::string::npos);
-  EXPECT_TRUE(std::filesystem::exists("results/test_report_demo.csv"));
-  std::filesystem::remove("results/test_report_demo.csv");
-}
-
-TEST(Report, ComparisonLineFormatsBothSides) {
-  testing::internal::CaptureStdout();
-  print_paper_comparison("avg quality", 0.981, 0.97, "");
-  const std::string out = testing::internal::GetCapturedStdout();
-  EXPECT_NE(out.find("0.981"), std::string::npos);
-  EXPECT_NE(out.find("0.970"), std::string::npos);
 }
 
 }  // namespace

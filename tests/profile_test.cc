@@ -152,9 +152,11 @@ TEST(ProfileSchema, ShardMustBeAProperSlice) {
   EXPECT_EQ(p.shard.count, 4u);
 }
 
-TEST(ProfileSchema, SeriesStrideMustBePositiveInteger) {
-  expect_rejected(R"({"series_stride": 0})", {"series_stride"});
-  expect_rejected(R"({"series_stride": 2.5})", {"series_stride"});
+TEST(ProfileSchema, SeriesStrideIsNoLongerAKey) {
+  // Retained-series downsampling is gone; an old profile that still sets
+  // it must fail loudly instead of being half-honoured.
+  expect_rejected(R"({"series_stride": 4})",
+                  {"unknown profile key 'series_stride'", "paper"});
 }
 
 TEST(ProfileSchema, DuplicateKeysAreLastWinsAtTheParser) {
@@ -184,7 +186,10 @@ TEST(ProfileRoundTrip, AllCommittedProfilesAreByteStable) {
     const std::string dumped = p.to_json().dump(2) + "\n";
     EXPECT_EQ(dumped, committed);
     const sweep::SweepSpec spec = sweep::SweepSpec::from_profile(p);
-    const Profile back = Profile::from_spec(spec, p.name, p.description);
+    // The paper block is not a spec field: thread it through like the
+    // name, as `tool_sweep --dump-profile` does.
+    Profile back = Profile::from_spec(spec, p.name, p.description);
+    back.paper = p.paper;
     EXPECT_EQ(back.to_json().dump(2) + "\n", committed);
   }
 }
@@ -201,6 +206,128 @@ TEST(ProfileRoundTrip, GoldenPresetsCarryTheirProfile) {
                   .to_json()
                   .dump(2));
   }
+}
+
+// ------------------------------------------------------------ paper claims
+
+/// A two-cell profile with a paper block around one claim; `claim` is the
+/// claim object's JSON body.
+std::string paper_profile(const std::string& claim) {
+  return R"({"grid": [{"name": "mode", "values": ["cs", "p2p"]}],
+             "paper": {"warmup_hours": 4, "measure_hours": 24,
+                       "claims": [{)" + claim + "}]}}";
+}
+
+TEST(PaperClaims, LoadRejectsBadCellMetricAndTolerance) {
+  expect_rejected(paper_profile(R"("cell": "mode=p3p", "metric":
+      "cost_per_hour", "paper": 48, "tolerance": 0.01)"),
+                  {"paper.claims.cell", "'mode=p3p'",
+                   "valid cells: mode=cs, mode=p2p"});
+  expect_rejected(paper_profile(R"("cell": "mode=cs", "metric": "cost",
+      "paper": 48, "tolerance": 0.01)"),
+                  {"paper.claims.metric", "'cost'", "valid metrics:",
+                   "mean_quality", "cost_per_hour", "sim_events"});
+  for (const char* tolerance : {"0", "-0.1"}) {
+    expect_rejected(paper_profile(std::string(R"("cell": "mode=cs",
+        "metric": "cost_per_hour", "paper": 48, "tolerance": )") +
+                                  tolerance),
+                    {"paper.claims.tolerance", "> 0"});
+  }
+  expect_rejected(paper_profile(R"("cell": "mode=cs", "metric":
+      "cost_per_hour", "paper": 48)"),
+                  {"paper.claims", "missing \"tolerance\""});
+  expect_rejected(R"({"paper": {"measure_hours": 24}})",
+                  {"paper", "missing \"warmup_hours\""});
+  expect_rejected(R"({"paper": {"warmup_hours": 4, "measure_hours": 0}})",
+                  {"paper.measure_hours", "> 0"});
+  expect_rejected(R"({"paper": {"warmup_hours": 4, "measure_hours": 24,
+                                "clams": []}})",
+                  {"unknown key 'clams'", "claims"});
+}
+
+TEST(PaperClaims, EvaluatesOkGapAndMissOnASyntheticSweep) {
+  sweep::SweepResult result;
+  for (const char* mode : {"cs", "p2p"}) {
+    sweep::RunSummary run;
+    run.point.coords = {{"mode", mode}};
+    run.cost_per_hour = std::string(mode) == "cs" ? 57.5 : 4.27;
+    run.mean_quality = 0.966;
+    result.runs.push_back(run);
+  }
+  PaperBlock block;
+  block.claims = {
+      {"mode=p2p", "cost_per_hour", 4.27, 0.0012, ""},
+      {"mode=cs", "cost_per_hour", 48.0, 0.011, "unexplained"},
+      {"mode=cs", "mean_quality", 0.5, 0.01, ""},
+  };
+  const std::vector<ClaimCheck> checks = check_claims(block, result);
+  ASSERT_EQ(checks.size(), 3u);
+
+  EXPECT_EQ(checks[0].status, ClaimCheck::Status::kOk);
+  EXPECT_EQ(checks[0].status_text(), "ok");
+  EXPECT_DOUBLE_EQ(checks[0].measured, 4.27);
+  EXPECT_NEAR(checks[0].relative_error, 0.0, 1e-12);
+
+  EXPECT_EQ(checks[1].status, ClaimCheck::Status::kGap);
+  EXPECT_EQ(checks[1].status_text(), "gap: unexplained");
+  EXPECT_DOUBLE_EQ(checks[1].measured, 57.5);
+  EXPECT_NEAR(checks[1].relative_error, 57.5 / 48.0 - 1.0, 1e-12);
+
+  EXPECT_EQ(checks[2].status, ClaimCheck::Status::kMiss);
+  EXPECT_EQ(checks[2].status_text(), "MISS");
+  EXPECT_NEAR(checks[2].relative_error, 0.966 / 0.5 - 1.0, 1e-12);
+
+  // A claim whose cell did not run here (a shard) cannot be judged.
+  result.runs.pop_back();
+  EXPECT_THROW((void)check_claims(block, result), util::PreconditionError);
+}
+
+TEST(PaperClaims, EveryCommittedClaimResolvesAgainstItsPreset) {
+  std::size_t claims = 0;
+  std::vector<std::string> with_claims;
+  for (const sweep::GoldenPreset& preset : sweep::golden_presets()) {
+    if (!preset.profile.paper) continue;
+    SCOPED_TRACE(preset.name);
+    const PaperBlock& block = *preset.profile.paper;
+    if (!block.claims.empty()) with_claims.push_back(preset.name);
+    // One synthetic row per cell of the preset's grid: every claim must
+    // find its cell and read its metric.
+    sweep::SweepResult result;
+    for (std::size_t i = 0; i < preset.spec.grid.num_points(); ++i) {
+      sweep::RunSummary run;
+      run.point = preset.spec.grid.point(i);
+      result.runs.push_back(run);
+    }
+    EXPECT_EQ(check_claims(block, result).size(), block.claims.size());
+    claims += block.claims.size();
+  }
+  EXPECT_EQ(with_claims,
+            (std::vector<std::string>{"fig04_provisioning", "fig05_quality",
+                                      "fig10_vm_cost",
+                                      "fig11_peer_sufficiency"}));
+  EXPECT_EQ(claims, 9u);
+}
+
+TEST(PaperClaims, DumpProfileRoundTripsAPaperBlock) {
+  Profile p = parse(paper_profile(R"("cell": "mode=cs", "metric":
+      "cost_per_hour", "paper": 48, "tolerance": 0.011, "gap":
+      "unexplained")"));
+  p.name = "paper_round_trip";
+  const std::string canonical = p.to_json().dump(2);
+  EXPECT_NE(canonical.find("\"gap\": \"unexplained\""), std::string::npos);
+  EXPECT_EQ(parse(canonical).to_json().dump(2), canonical);
+  // The `tool_sweep --dump-profile` path: through the spec and back, with
+  // the block threaded around it. The spec never sees it.
+  const sweep::SweepSpec spec = sweep::SweepSpec::from_profile(p);
+  Profile back = Profile::from_spec(spec, p.name, p.description);
+  EXPECT_FALSE(back.paper.has_value());
+  back.paper = p.paper;
+  EXPECT_EQ(back.to_json().dump(2), canonical);
+  // And the block stays out of what the sweep computes.
+  Profile bare = p;
+  bare.paper.reset();
+  EXPECT_EQ(sweep::SweepSpec::from_profile(bare).spec_hash(),
+            spec.spec_hash());
 }
 
 TEST(FlagsRequireKnown, SuggestsCloseFlagAndListsValid) {

@@ -23,7 +23,8 @@
 //   tool_fuzz --replay=results/fuzz/<name>.repro.json
 //   tool_sweep --profile=results/fuzz/<name>.repro.json
 //
-// Exit status: 0 when every run held all four invariants, 1 otherwise.
+// Exit status: 0 when every run held all four invariants, 1 otherwise,
+// 2 on a usage error (printed as `error: <why>`).
 
 #include <cstdio>
 #include <string>
@@ -64,9 +65,7 @@ int replay(const std::string& path, unsigned threads) {
   return 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"runs", "seed", "threads", "out", "replay", "help"});
   if (flags.has("help")) {
@@ -141,4 +140,15 @@ int main(int argc, char** argv) {
   std::printf("%d/%lld fuzz profiles FAILED — repros under %s/\n", failures,
               runs, out.c_str());
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const util::PreconditionError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  }
 }

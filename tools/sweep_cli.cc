@@ -37,19 +37,36 @@
 //                           horizon come from its profiles/<name>.json,
 //                           --threads still applies — output must not
 //                           depend on it)
+//        --paper (with --golden or --profile: run at the horizon of the
+//                 profile's `paper` block and check its claims, see below)
 //        --list (print scenarios with their ops, grid parameters, golden
 //                presets and exit)
 //        --list-goldens (print one golden preset name per line, for scripts)
 //
-// Unknown flags are rejected with a did-you-mean suggestion (so
-// --serie-stride teaches instead of being ignored). Precedence, weakest
-// to strongest: profile file < --scenario/--grid/--set < --seed/--warmup/
-// --hours/--threads/--series-stride/--shard.
+// Unknown flags are rejected with a did-you-mean suggestion (so --sede
+// teaches instead of being ignored), and every usage error prints
+// `error: <why>` and exits 2. Precedence, weakest to strongest: profile
+// file < --scenario/--grid/--set < --seed/--warmup/--hours/--threads/
+// --shard. --scenario, --grid and --set change what runs, so they drop a
+// profile's `paper` block.
 //
 // Every figure and ablation of the paper's evaluation is a golden preset
 // (fig04_provisioning ... ablation_prediction, see --list); CI and
 // scripts/verify.sh --golden replay all of them on 1 thread and on all
 // cores and diff against the goldens/ snapshots on every commit.
+//
+// Paper mode — reproduce a figure at the paper's horizon and check what
+// the paper reports for it:
+//
+//   tool_sweep --golden=fig10_vm_cost --paper [--threads=N] [--out=...]
+//
+// The preset runs unchanged except for the horizon, which comes from its
+// profile's `paper` block (the golden snapshot keeps its downsized one).
+// After the usual table one row per claim prints the measured value, the
+// paper's, the relative error and a status: `ok` within the claim's
+// tolerance, `gap: <cause>` outside it when the profile records why, and
+// `MISS` otherwise. Exits 1 on any MISS. Output defaults to
+// results/<preset>_paper.
 //
 // Diff mode — compare two sweep JSON files (same grid + seed, different
 // commits) and report per-cell metric deltas:
@@ -195,9 +212,30 @@ int run_merge(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
+/// One row per claim; returns true when none is a MISS.
+bool print_claims(const profile::PaperBlock& block,
+                  const sweep::SweepResult& result) {
+  if (block.claims.empty()) {
+    std::printf("\npaper claims: none recorded for this profile\n");
+    return true;
+  }
+  std::printf("\npaper claims (%.4g + %.4g h):\n", block.warmup_hours,
+              block.measure_hours);
+  std::printf("%-28s %-18s %10s %10s %9s  %s\n", "cell", "metric",
+              "measured", "paper", "rel.err", "status");
+  bool held = true;
+  for (const profile::ClaimCheck& check :
+       profile::check_claims(block, result)) {
+    std::printf("%-28s %-18s %10.3f %10.3f %+8.1f%%  %s\n",
+                check.claim.cell.c_str(), check.claim.metric.c_str(),
+                check.measured, check.claim.paper,
+                100.0 * check.relative_error, check.status_text().c_str());
+    if (check.status == profile::ClaimCheck::Status::kMiss) held = false;
+  }
+  return held;
+}
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--diff") return run_diff(argc, argv);
     if (std::string_view(argv[i]) == "--merge") return run_merge(argc, argv);
@@ -206,8 +244,8 @@ int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"list", "help", "list-goldens", "golden", "profile",
                        "dump-profile", "set", "scenario", "grid", "seed",
-                       "threads", "hours", "warmup", "series-stride", "shard",
-                       "out"});
+                       "threads", "hours", "warmup", "shard", "out",
+                       "paper"});
   if (flags.has("list") || flags.has("help")) {
     print_listing();
     return 0;
@@ -235,14 +273,15 @@ int main(int argc, char** argv) {
     // schedule-neutral by construction (it picks which cells run here,
     // never what they compute), which is exactly what lets CI split a
     // golden preset across shards and cmp the merge against the
-    // committed snapshot.
+    // committed snapshot. --paper swaps in the paper's horizon.
     for (const char* frozen :
          {"scenario", "grid", "set", "profile", "seed", "hours", "warmup"}) {
       if (flags.has(frozen)) {
         throw util::PreconditionError(
             std::string("--") + frozen +
             " conflicts with --golden: the preset's profile freezes it "
-            "(only --threads, --shard, --out and --dump-profile apply)");
+            "(only --threads, --shard, --out, --paper and --dump-profile "
+            "apply)");
       }
     }
   } else {
@@ -253,7 +292,11 @@ int main(int argc, char** argv) {
     // Declarative flags fold INTO the profile (profile < flags), so
     // --dump-profile prints what would actually run: --scenario and
     // --grid replace their fields, --set pins registry parameters
-    // (last occurrence of a name wins).
+    // (last occurrence of a name wins). The paper's claims describe the
+    // profile as written, so any of them drops the paper block.
+    if (flags.has("scenario") || flags.has("grid") || flags.has("set")) {
+      prof.paper.reset();
+    }
     if (flags.has("scenario")) {
       prof.scenario = flags.get("scenario", prof.scenario);
     }
@@ -288,10 +331,33 @@ int main(int argc, char** argv) {
     // against a committed profiles/<name>.json proves the spec layer
     // loses nothing.
     const sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
-    const profile::Profile round =
+    profile::Profile round =
         profile::Profile::from_spec(spec, prof.name, prof.description);
+    round.paper = prof.paper;
     std::fputs((round.to_json().dump(2) + "\n").c_str(), stdout);
     return 0;
+  }
+
+  const bool paper = flags.has("paper");
+  if (paper) {
+    if (!prof.paper) {
+      throw util::PreconditionError(
+          "--paper needs a profile with a \"paper\" block, as written "
+          "(--scenario, --grid and --set drop it); '" +
+          (prof.name.empty() ? std::string("this profile") : prof.name) +
+          "' has none");
+    }
+    for (const char* conflicting : {"hours", "warmup", "shard"}) {
+      if (flags.has(conflicting)) {
+        throw util::PreconditionError(
+            std::string("--") + conflicting +
+            " conflicts with --paper: the paper block fixes the horizon "
+            "and its claims need every cell of the grid");
+      }
+    }
+    prof.warmup_hours = prof.paper->warmup_hours;
+    prof.measure_hours = prof.paper->measure_hours;
+    default_out += "_paper";
   }
 
   sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
@@ -374,5 +440,17 @@ int main(int argc, char** argv) {
   result.write(out);
   std::printf("\n[csv]    %s.csv\n[json]   %s.json\n[jsonl]  %s (streamed)\n",
               out.c_str(), out.c_str(), results_store.jsonl_path().c_str());
+  if (paper && !print_claims(*prof.paper, result)) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const util::PreconditionError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  }
 }
