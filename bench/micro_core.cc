@@ -177,11 +177,13 @@ void BM_ControllerFullPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerFullPlan)->Unit(benchmark::kMillisecond);
 
-// Simulator event engine: the hot schedule→pop→run path and tombstone
-// cancellation. The callback-slot window (dense id-indexed deque +
-// trivially-movable heap entries) replaced a per-event unordered_map;
-// measured on the reference container that roughly tripled throughput:
-// schedule+run 0.52 → 1.5 M events/s, 50%-cancelled 0.75 → 1.45 M events/s.
+// Simulator event engine: the hot schedule→pop→run path and in-place
+// cancellation. Dense callback slots with trivially-movable heap entries
+// replaced a per-event unordered_map; measured on the reference container
+// that roughly tripled throughput: schedule+run 0.52 → 1.5 M events/s,
+// 50%-cancelled 0.75 → 1.45 M events/s. The slots are now a free-listed
+// arena whose entries know their heap position, so a cancelled event
+// leaves the heap at once instead of as a tombstone.
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const long n = state.range(0);
   for (auto _ : state) {
@@ -232,7 +234,7 @@ void BM_CallbackSBOLifecycle(benchmark::State& state) {
   const double a = 1.0, b = 2.0, c = 3.0, d = 4.0;
   for (auto _ : state) {
     sim::Callback cb([&sink, a, b, c, d] { sink += a + b + c + d; });
-    sim::Callback slot = std::move(cb);  // relocate into the ring
+    sim::Callback slot = std::move(cb);  // relocate into a slot
     slot();
     benchmark::DoNotOptimize(sink);
   }

@@ -141,6 +141,8 @@ if(CLOUDMEDIA_BUILD_TOOLS)
     --golden=ablation_strategies --hours=48)
   add_exit_test(usage_error_grid 2 "error: .*bogus" tool_sweep
     --grid bogus=1)
+  add_exit_test(usage_error_bad_value 2 "error: --hours=abc is not a number"
+    tool_sweep --hours=abc)
   add_exit_test(usage_error_fuzz 2 "error: --runs must be >= 1" tool_fuzz
     --runs=0)
 endif()

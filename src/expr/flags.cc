@@ -1,7 +1,9 @@
 #include "expr/flags.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 
 #include "util/check.h"
 
@@ -26,6 +28,38 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   return row[b.size()];
 }
 
+[[noreturn]] void reject_value(const std::string& key, const std::string& value,
+                               const char* expected) {
+  throw util::PreconditionError("--" + key + "=" + value + " is not " +
+                                expected);
+}
+
+/// The whole value must parse: strtod/strtoll accept what std::stod/stoll
+/// did, but the end-pointer check also rejects trailing garbage ("3x").
+double parse_double(const std::string& key, const std::string& value) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    reject_value(key, value, "a number");
+  }
+  return parsed;
+}
+
+long long parse_integer(const std::string& key, const std::string& value,
+                        long long lo, long long hi) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE || parsed < lo ||
+      parsed > hi) {
+    reject_value(key, value, "an integer in range");
+  }
+  return parsed;
+}
+
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv, bool allow_positionals) {
@@ -33,7 +67,8 @@ Flags::Flags(int argc, const char* const* argv, bool allow_positionals) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       if (!allow_positionals) {
-        throw std::invalid_argument("unexpected positional argument: " + arg);
+        throw util::PreconditionError("unexpected positional argument: " +
+                                      arg);
       }
       positionals_.push_back(std::move(arg));
       continue;
@@ -59,17 +94,23 @@ std::string Flags::get(const std::string& key, const std::string& fallback) cons
 
 double Flags::get(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second.back());
+  return it == values_.end() ? fallback : parse_double(key, it->second.back());
 }
 
 int Flags::get(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoi(it->second.back());
+  if (it == values_.end()) return fallback;
+  return static_cast<int>(parse_integer(key, it->second.back(),
+                                        std::numeric_limits<int>::min(),
+                                        std::numeric_limits<int>::max()));
 }
 
 long long Flags::get_ll(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoll(it->second.back());
+  if (it == values_.end()) return fallback;
+  return parse_integer(key, it->second.back(),
+                       std::numeric_limits<long long>::min(),
+                       std::numeric_limits<long long>::max());
 }
 
 bool Flags::get(const std::string& key, bool fallback) const {

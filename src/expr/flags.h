@@ -10,9 +10,12 @@ namespace cloudmedia::expr {
 /// accepts `--key=value` and `--key value`; bare `--key` means "true".
 /// A flag may repeat (`--grid a=1 --grid b=2`): scalar getters return the
 /// last occurrence, get_all() returns every occurrence in order.
-/// Unknown positional arguments throw (benches take no positionals) unless
-/// the caller opts in, in which case non-flag tokens that were not consumed
-/// as a `--key value` value collect into positionals() in order.
+/// Unknown positional arguments throw util::PreconditionError (benches take
+/// no positionals) unless the caller opts in, in which case non-flag tokens
+/// that were not consumed as a `--key value` value collect into
+/// positionals() in order. Numeric getters parse the whole value and throw
+/// util::PreconditionError naming the flag on a malformed or out-of-range
+/// one (`--hours=abc`, `--hours=3x`).
 class Flags {
  public:
   Flags(int argc, const char* const* argv, bool allow_positionals = false);

@@ -17,6 +17,8 @@ namespace cloudmedia::sim {
 /// allocator the top entry in the discrete engine's event-path profile;
 /// this type keeps the hot schedule→run→destroy cycle allocation-free and
 /// falls back to the heap only for oversized or throwing-move captures.
+/// The Simulator stores one per pending event in its slot arena (64 bytes
+/// a slot) and moves it out to run it, so relocation is the hot operation.
 ///
 /// Move-only on purpose: simulator callbacks are scheduled once and run
 /// once, so requiring copyability (as std::function does) would only

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -8,59 +7,100 @@
 
 namespace cloudmedia::sim {
 
-namespace {
-/// Initial ring capacity; past seeds show even tiny runs keep a few dozen
-/// events in flight (dwell timers + chunk completions), so start there
-/// rather than thrashing the first few doublings.
-constexpr std::size_t kInitialRingSlots = 64;
-}  // namespace
-
-bool Simulator::retired(EventId id) const noexcept {
-  if (id < base_) return true;
-  return ring_[static_cast<std::size_t>(id) & ring_mask_] == nullptr;
+bool Simulator::is_pending(EventId id) const noexcept {
+  // A freed slot has a bumped generation, so only the handle of its current
+  // occupant matches; generations start at 1, so kInvalidEvent never does.
+  const auto slot = static_cast<std::uint32_t>(id);
+  return slot < slots_.size() && slots_[slot].generation == (id >> 32);
 }
 
-Simulator::Callback Simulator::retire(EventId id) noexcept {
-  // Callback's move constructor leaves the source disengaged, so the slot
-  // becomes the null tombstone without a separate store.
-  Callback fn = std::move(ring_[static_cast<std::size_t>(id) & ring_mask_]);
-  --pending_;
-  // Amortized-O(1) compaction keeps the window anchored at the oldest
-  // still-pending id; every slot it walks past is free for reuse.
-  while (base_ < next_id_ &&
-         ring_[static_cast<std::size_t>(base_) & ring_mask_] == nullptr) {
-    ++base_;
-  }
-  return fn;
+std::uint64_t Simulator::next_key(std::uint32_t slot) {
+  CM_EXPECTS(next_seq_ < (std::uint64_t{1} << (64 - kSlotBits)));
+  return (next_seq_++ << kSlotBits) | slot;
 }
 
-void Simulator::grow_ring(std::size_t min_capacity) {
-  std::size_t capacity = ring_.empty() ? kInitialRingSlots : ring_.size() * 2;
-  while (capacity < min_capacity) capacity *= 2;
-  std::vector<Callback> grown(capacity);
-  const std::size_t grown_mask = capacity - 1;
-  for (EventId id = base_; id < next_id_; ++id) {
-    grown[static_cast<std::size_t>(id) & grown_mask] =
-        std::move(ring_[static_cast<std::size_t>(id) & ring_mask_]);
+std::uint32_t Simulator::acquire(Callback&& fn) {
+  CM_EXPECTS(fn != nullptr);
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();  // LIFO: still in cache
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(fn);
+    return slot;
   }
-  ring_ = std::move(grown);
-  ring_mask_ = grown_mask;
+  CM_EXPECTS(slots_.size() <= kSlotMask);
+  callbacks_.push_back(std::move(fn));
+  slots_.emplace_back();
+  // Room for every slot on the free list, so release() (and with it the
+  // noexcept cancel()) never allocates.
+  free_slots_.reserve(slots_.capacity());
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void Simulator::release(std::uint32_t slot) noexcept {
+  std::uint32_t& generation = slots_[slot].generation;
+  if (++generation == 0) generation = 1;  // keep handles != kInvalidEvent
+  free_slots_.push_back(slot);
+}
+
+void Simulator::place(std::size_t pos, const Entry& e) noexcept {
+  heap_[pos] = e;
+  slots_[slot_of(e)].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+void Simulator::sift_up(std::size_t pos) noexcept {
+  const Entry e = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
+}
+
+void Simulator::sift_down(std::size_t pos) noexcept {
+  const Entry e = heap_[pos];
+  const std::size_t top = pos;
+  const std::size_t n = heap_.size();
+  // Walk the hole down to a leaf along the earlier children, then sift `e`
+  // back up: the displaced entry is usually the heap's last, which belongs
+  // near the bottom, so this takes about half the comparisons.
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  while (pos > top) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
+}
+
+void Simulator::resift(std::size_t pos) noexcept {
+  if (pos > 0 && before(heap_[pos], heap_[(pos - 1) / 2])) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
+}
+
+void Simulator::erase_at(std::size_t pos) noexcept {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  place(pos, last);
+  resift(pos);
 }
 
 EventId Simulator::schedule_at(double t, Callback fn) {
   CM_EXPECTS(t >= now_);
-  CM_EXPECTS(fn != nullptr);
-  // Grow before allocating the id: grow_ring re-seats exactly the ids in
-  // [base_, next_id_), i.e. the slots that have actually been written.
-  if (static_cast<std::size_t>(next_id_ + 1 - base_) > ring_.size()) {
-    grow_ring(static_cast<std::size_t>(next_id_ + 1 - base_));
-  }
-  const EventId id = next_id_++;
-  ring_[static_cast<std::size_t>(id) & ring_mask_] = std::move(fn);
-  ++pending_;
-  heap_.push_back(Entry{t, id});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  return id;
+  const std::uint32_t slot = acquire(std::move(fn));
+  heap_.push_back(Entry{t, next_key(slot)});
+  sift_up(heap_.size() - 1);
+  return slot | (static_cast<EventId>(slots_[slot].generation) << 32);
 }
 
 EventId Simulator::schedule_in(double delay, Callback fn) {
@@ -68,50 +108,54 @@ EventId Simulator::schedule_in(double delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::schedule_bulk(std::vector<std::pair<double, Callback>> batch) {
-  if (batch.empty()) return kInvalidEvent;
-  const EventId first = next_id_;
+void Simulator::schedule_bulk(std::vector<std::pair<double, Callback>> batch) {
+  if (batch.empty()) return;
   heap_.reserve(heap_.size() + batch.size());
-  if (static_cast<std::size_t>(next_id_ - base_) + batch.size() > ring_.size()) {
-    grow_ring(static_cast<std::size_t>(next_id_ - base_) + batch.size());
-  }
   for (auto& [t, fn] : batch) {
     CM_EXPECTS(t >= now_);
-    CM_EXPECTS(fn != nullptr);
-    const EventId id = next_id_++;
-    ring_[static_cast<std::size_t>(id) & ring_mask_] = std::move(fn);
-    ++pending_;
-    heap_.push_back(Entry{t, id});
+    const std::uint32_t slot = acquire(std::move(fn));
+    heap_.push_back(Entry{t, next_key(slot)});
+    slots_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
   }
   // Heapify beats per-entry sift-up once the batch rivals the pending set:
-  // make_heap is O(total), the loop O(batch · log total).
+  // Floyd's bottom-up build is O(total), the loop O(batch · log total).
   if (batch.size() >= heap_.size() / 4) {
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    for (std::size_t k = heap_.size() / 2; k-- > 0;) sift_down(k);
   } else {
     for (std::size_t k = heap_.size() - batch.size(); k < heap_.size(); ++k) {
-      std::push_heap(heap_.begin(),
-                     heap_.begin() + static_cast<std::ptrdiff_t>(k) + 1,
-                     std::greater<>{});
+      sift_up(k);
     }
   }
-  return first;
 }
 
 bool Simulator::cancel(EventId id) noexcept {
-  // The heap entry stays behind as a tombstone; pop_and_run skips entries
-  // whose slot is already null.
-  if (id == kInvalidEvent || id >= next_id_ || retired(id)) return false;
-  (void)retire(id);
+  if (!is_pending(id)) return false;
+  const auto slot = static_cast<std::uint32_t>(id);
+  erase_at(slots_[slot].heap_pos);
+  callbacks_[slot].reset();
+  release(slot);
+  return true;
+}
+
+bool Simulator::retime(EventId id, double t) {
+  CM_EXPECTS(t >= now_);
+  if (!is_pending(id)) return false;
+  const auto slot = static_cast<std::uint32_t>(id);
+  const std::size_t pos = slots_[slot].heap_pos;
+  heap_[pos] = Entry{t, next_key(slot)};
+  resift(pos);
   return true;
 }
 
 void Simulator::pop_and_run() {
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  if (retired(entry.id)) return;  // cancelled
-  Callback fn = retire(entry.id);
-  now_ = entry.time;
+  const Entry top = heap_.front();
+  erase_at(0);
+  const std::uint32_t slot = slot_of(top);
+  // Move the callback out before running it: it may schedule events that
+  // reuse this slot or grow the arena under it.
+  Callback fn = std::move(callbacks_[slot]);
+  release(slot);
+  now_ = top.time;
   ++processed_;
   fn();
 }
@@ -124,11 +168,7 @@ void Simulator::run_until(double t) {
 
 std::size_t Simulator::run_all(std::size_t max_events) {
   std::size_t n = 0;
-  while (!heap_.empty() && n < max_events) {
-    const std::uint64_t before = processed_;
-    pop_and_run();
-    n += static_cast<std::size_t>(processed_ - before);
-  }
+  for (; n < max_events && !heap_.empty(); ++n) pop_and_run();
   return n;
 }
 

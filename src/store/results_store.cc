@@ -44,7 +44,7 @@ std::string join_csv(const std::vector<std::string>& fields) {
   std::string line;
   for (std::size_t i = 0; i < fields.size(); ++i) {
     if (i) line += ',';
-    line += util::CsvWriter::escape(fields[i]);
+    line += util::csv_escape(fields[i]);
   }
   line += '\n';
   return line;

@@ -105,7 +105,7 @@ std::string SweepResult::to_csv() const {
   auto append_line = [&out](const std::vector<std::string>& fields) {
     for (std::size_t i = 0; i < fields.size(); ++i) {
       if (i) out += ',';
-      out += util::CsvWriter::escape(fields[i]);
+      out += util::csv_escape(fields[i]);
     }
     out += '\n';
   };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/check.h"
 
@@ -56,10 +57,9 @@ Trace record_trace(const workload::Workload& workload, double horizon) {
     std::uint64_t user_index = 0;
     for (double t = arrivals.next_after(0.0); t < horizon;
          t = arrivals.next_after(t)) {
-      const workload::SessionScript script =
-          workload.make_session(c, user_index++);
-      out.sessions.push_back(
-          TraceSession{t, script.channel, script.uplink, script.chunks});
+      workload::SessionScript script = workload.make_session(c, user_index++);
+      out.sessions.push_back(TraceSession{t, script.channel, script.uplink,
+                                          std::move(script.chunks)});
     }
   }
   std::stable_sort(out.sessions.begin(), out.sessions.end(),

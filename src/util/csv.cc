@@ -1,18 +1,11 @@
 #include "util/csv.h"
 
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 
 namespace cloudmedia::util {
 
-CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
-  if (!out_) {
-    throw std::runtime_error("CsvWriter: cannot open " + path);
-  }
-}
-
-std::string CsvWriter::escape(const std::string& field) {
+std::string csv_escape(const std::string& field) {
   if (field.find_first_of(",\"\n") == std::string::npos) return field;
   std::string quoted = "\"";
   for (char c : field) {
@@ -21,24 +14,6 @@ std::string CsvWriter::escape(const std::string& field) {
   }
   quoted += '"';
   return quoted;
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << escape(fields[i]);
-  }
-  out_ << '\n';
-}
-
-void CsvWriter::write_row(const std::vector<double>& fields) {
-  std::ostringstream line;
-  line.precision(10);
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) line << ',';
-    line << fields[i];
-  }
-  out_ << line.str() << '\n';
 }
 
 bool ensure_directory(const std::string& path) {

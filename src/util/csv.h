@@ -1,31 +1,12 @@
 #pragma once
 
-#include <fstream>
 #include <string>
-#include <vector>
 
 namespace cloudmedia::util {
 
-/// Minimal CSV writer. Fields containing commas/quotes/newlines are quoted
-/// per RFC 4180 (escape() is what the sweep outputs use).
-class CsvWriter {
- public:
-  /// Opens (truncates) `path`; throws std::runtime_error on failure.
-  explicit CsvWriter(const std::string& path);
-
-  void write_row(const std::vector<std::string>& fields);
-  /// Convenience: formats doubles with enough precision for replotting.
-  void write_row(const std::vector<double>& fields);
-  void write_header(const std::vector<std::string>& names) { write_row(names); }
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
-  [[nodiscard]] static std::string escape(const std::string& field);
-
- private:
-  std::string path_;
-  std::ofstream out_;
-};
+/// Quote a CSV field per RFC 4180 when it contains a comma, quote or
+/// newline (what the sweep outputs write); other fields pass through.
+[[nodiscard]] std::string csv_escape(const std::string& field);
 
 /// Create directory (and parents) if missing; returns true on success or if
 /// it already existed.

@@ -109,13 +109,15 @@ void ServicePool::maybe_rebase() {
 void ServicePool::sync() { advance(); }
 
 void ServicePool::reschedule() {
-  if (pending_ != sim::kInvalidEvent) {
-    sim_->cancel(pending_);
-    pending_ = sim::kInvalidEvent;
+  const double rate = active_jobs() == 0 ? 0.0 : per_job_rate();
+  if (rate <= 0.0) {
+    // Idle, or starved until capacity returns: no completion to wait for.
+    if (pending_ != sim::kInvalidEvent) {
+      sim_->cancel(pending_);
+      pending_ = sim::kInvalidEvent;
+    }
+    return;
   }
-  if (active_jobs() == 0) return;
-  const double rate = per_job_rate();
-  if (rate <= 0.0) return;  // starved: resumes when capacity returns
   const double next_target = jobs_[head_].target;
   double dt = std::max(0.0, (next_target - service_level_) / rate);
   // Defensive progress guarantee: a timer that lands back on `now` (dt
@@ -125,13 +127,17 @@ void ServicePool::reschedule() {
   while (sim_->now() + dt == sim_->now()) {
     dt = dt > 0.0 ? 2.0 * dt : time_quantum(sim_->now());
   }
-  pending_ = sim_->schedule_in(dt, [this] { on_timer(); });
+  // retime() orders exactly like cancel + schedule, without the slot churn.
+  const double t = sim_->now() + dt;
+  if (pending_ == sim::kInvalidEvent || !sim_->retime(pending_, t)) {
+    pending_ = sim_->schedule_at(t, [this] { on_timer(); });
+  }
 }
 
 void ServicePool::on_timer() {
   pending_ = sim::kInvalidEvent;
   advance();
-  std::vector<Completion> done;
+  done_.clear();
   // Tolerance: the byte floor, plus whatever service the simulator clock
   // cannot resolve at this rate (see time_quantum above).
   const double eps =
@@ -145,12 +151,13 @@ void ServicePool::on_timer() {
     c.enqueue_time = rec.enqueue_time;
     c.sojourn = sim_->now() - rec.enqueue_time;
     ++head_;
-    done.push_back(c);
+    done_.push_back(c);
   }
   if (head_ >= kCompactMinDead && head_ * 2 >= jobs_.size()) compact();
   reschedule();
-  // Handlers run on a consistent pool; they may re-enter via add_job.
-  for (const Completion& c : done) on_complete_(c);
+  // Handlers run on a consistent pool; they may re-enter via add_job,
+  // which never touches done_ (only this timer fills it).
+  for (const Completion& c : done_) on_complete_(c);
 }
 
 void ServicePool::set_capacity(double peer_capacity, double cloud_capacity) {

@@ -128,6 +128,7 @@ class ServicePool {
   std::vector<JobRec> jobs_;
   std::size_t head_ = 0;
   sim::EventId pending_ = sim::kInvalidEvent;
+  std::vector<Completion> done_;  ///< on_timer's batch, reused across timers
 };
 
 }  // namespace cloudmedia::vod

@@ -120,10 +120,6 @@ void StreamingSystem::schedule_next_arrival(int channel) {
 
 void StreamingSystem::handle_arrival(int channel, double time) {
   const auto ch = static_cast<std::size_t>(channel);
-  const workload::SessionScript script =
-      workload_->make_session(channel, next_user_index_[ch]++);
-  CM_ENSURES(!script.chunks.empty());
-
   const std::uint64_t id = next_peer_id_++;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -137,10 +133,12 @@ void StreamingSystem::handle_arrival(int channel, double time) {
   CM_ENSURES(!peer.live);
   peer.id = id;
   peer.channel = channel;
-  peer.uplink = script.uplink;
+  // The walk is sampled straight into the slot, so a recycled slot reuses
+  // its walk capacity (and assign() below its owned capacity).
+  peer.uplink =
+      workload_->sample_session(channel, next_user_index_[ch]++, peer.walk);
+  CM_ENSURES(!peer.walk.empty());
   peer.arrival_time = time;
-  // assign() (not =) so a recycled slot reuses its walk/owned capacity.
-  peer.walk.assign(script.chunks.begin(), script.chunks.end());
   peer.position = 0;
   peer.owned.assign(static_cast<std::size_t>(num_chunks_), false);
   peer.owned_count = 0;

@@ -14,9 +14,8 @@ namespace cloudmedia::vod {
 /// Peers live in a slab (see StreamingSystem): the object is recycled
 /// across sessions — `id` is the stable monotone public identity, while
 /// `generation`/`live` are slab bookkeeping. `walk` and `owned` keep
-/// their capacity across reuse, so a recycled slot allocates no peer
-/// storage (the session script an arrival copies its walk from is still
-/// sampled into a fresh vector).
+/// their capacity across reuse, and an arrival samples its walk straight
+/// into `walk`, so a recycled slot allocates no peer storage.
 struct Peer {
   std::uint64_t id = 0;
   int channel = 0;

@@ -106,17 +106,22 @@ CohortArrivals Workload::make_cohort_arrivals(int channel,
 
 SessionScript Workload::make_session(int channel,
                                      std::uint64_t user_index) const {
+  SessionScript script;
+  script.channel = channel;
+  script.uplink = sample_session(channel, user_index, script.chunks);
+  return script;
+}
+
+double Workload::sample_session(int channel, std::uint64_t user_index,
+                                std::vector<int>& chunks) const {
   CM_EXPECTS(channel >= 0 && channel < config_.num_channels);
   // One derived stream per (channel, user ordinal): the walk and uplink of
   // the k-th arrival to a channel do not depend on anything else.
   util::Rng rng = root_.derive(
       kPurposeSession,
       (static_cast<std::uint64_t>(channel) << 40) ^ user_index);
-  SessionScript script;
-  script.channel = channel;
-  script.chunks = session_gen_.sample_walk(rng);
-  script.uplink = uplink_.sample(rng);
-  return script;
+  session_gen_.sample_walk(rng, chunks);
+  return uplink_.sample(rng);
 }
 
 double Workload::expected_session_chunks() const {

@@ -96,6 +96,10 @@ class Workload {
   /// Deterministic session for the `user_index`-th arrival of `channel`.
   [[nodiscard]] SessionScript make_session(int channel,
                                            std::uint64_t user_index) const;
+  /// The same session into caller-owned storage: fills `chunks` with the
+  /// walk (keeping its capacity) and returns the uplink.
+  double sample_session(int channel, std::uint64_t user_index,
+                        std::vector<int>& chunks) const;
 
   [[nodiscard]] const BoundedPareto& uplink_distribution() const noexcept {
     return uplink_;

@@ -70,15 +70,15 @@ SessionGenerator::SessionGenerator(ViewingBehavior behavior, int num_chunks,
   CM_EXPECTS(max_chunks >= 1);
 }
 
-std::vector<int> SessionGenerator::sample_walk(util::Rng& rng) const {
-  std::vector<int> walk;
+void SessionGenerator::sample_walk(util::Rng& rng,
+                                   std::vector<int>& walk) const {
+  walk.clear();
   walk.push_back(behavior_.sample_entry(num_chunks_, rng));
   while (static_cast<int>(walk.size()) < max_chunks_) {
     const auto next = behavior_.sample_next(walk.back(), num_chunks_, rng);
     if (!next) break;
     walk.push_back(*next);
   }
-  return walk;
 }
 
 }  // namespace cloudmedia::workload

@@ -60,7 +60,9 @@ class SessionGenerator {
   SessionGenerator(ViewingBehavior behavior, int num_chunks,
                    int max_chunks = 1000);
 
-  [[nodiscard]] std::vector<int> sample_walk(util::Rng& rng) const;
+  /// Sample a chunk walk into `walk`, replacing its contents but keeping
+  /// its capacity (the discrete engine's recycled peers walk allocation-free).
+  void sample_walk(util::Rng& rng, std::vector<int>& walk) const;
 
   [[nodiscard]] const ViewingBehavior& behavior() const noexcept { return behavior_; }
   [[nodiscard]] int num_chunks() const noexcept { return num_chunks_; }

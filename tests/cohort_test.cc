@@ -61,30 +61,39 @@ TEST(ScheduleBulk, MatchesLoopOfScheduleAt) {
   EXPECT_EQ(bulk_order, loop_order);
 }
 
-TEST(ScheduleBulk, EmptyBatchReturnsInvalidEvent) {
+TEST(ScheduleBulk, EmptyBatchIsNoop) {
   sim::Simulator sim;
-  EXPECT_EQ(sim.schedule_bulk({}), sim::kInvalidEvent);
+  sim.schedule_bulk({});
+  EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(sim.run_all(), 0u);
 }
 
-TEST(ScheduleBulk, AssignsContiguousCancellableIds) {
+TEST(ScheduleBulk, SharesFifoOrderWithScheduleAt) {
+  // A batch takes sequence numbers between the events scheduled before and
+  // after it, and rebuilding the heap keeps every earlier handle usable.
   sim::Simulator sim;
   std::vector<int> fired;
+  const auto record = [&fired](int i) {
+    return [&fired, i] { fired.push_back(i); };
+  };
+  const sim::EventId first = sim.schedule_at(1.0, record(0));
+  const sim::EventId doomed = sim.schedule_at(1.0, record(1));
   std::vector<std::pair<double, sim::Simulator::Callback>> batch;
-  for (int i = 0; i < 3; ++i) {
-    batch.emplace_back(1.0 + i, [&fired, i] { fired.push_back(i); });
-  }
-  const sim::EventId first = sim.schedule_bulk(std::move(batch));
-  ASSERT_NE(first, sim::kInvalidEvent);
-  EXPECT_TRUE(sim.cancel(first + 1));   // entry k gets id first + k
-  EXPECT_FALSE(sim.cancel(first + 1));  // already cancelled
-  sim.run_all();
-  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
+  batch.emplace_back(1.0, record(2));
+  batch.emplace_back(0.5, record(3));
+  batch.emplace_back(1.0, record(4));
+  sim.schedule_bulk(std::move(batch));  // 3 >= 5 / 4: the heapify branch
+  sim.schedule_at(1.0, record(5));
+  EXPECT_TRUE(sim.cancel(doomed));
+  EXPECT_FALSE(sim.cancel(doomed));
+  EXPECT_TRUE(sim.retime(first, 1.0));  // now behind everything at t = 1
+  EXPECT_EQ(sim.run_all(), 5u);
+  EXPECT_EQ(fired, (std::vector<int>{3, 2, 4, 5, 0}));
 }
 
 TEST(ScheduleBulk, LargeBatchOnSmallHeapHeapifies) {
   // A batch larger than a quarter of the existing heap takes the
-  // make_heap branch; order must still come out fully sorted.
+  // heapify branch; order must still come out fully sorted.
   sim::Simulator sim;
   std::vector<int> fired;
   sim.schedule_at(500.0, [&fired] { fired.push_back(-1); });

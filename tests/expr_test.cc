@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "expr/flags.h"
+#include "util/check.h"
 
 namespace cloudmedia::expr {
 namespace {
@@ -44,7 +49,36 @@ TEST(Flags, BooleanSpellings) {
 }
 
 TEST(Flags, RejectsPositionalArguments) {
-  EXPECT_THROW(make_flags({"positional"}), std::invalid_argument);
+  EXPECT_THROW(make_flags({"positional"}), util::PreconditionError);
+}
+
+TEST(Flags, RejectsMalformedNumbersNamingTheFlag) {
+  const Flags f = make_flags({"--hours=abc", "--days=3x", "--seed=", "--n=1.5",
+                              "--big=99999999999", "--rate=1e999",
+                              "--ok=2.5e1", "--neg=-7"});
+  const auto error_of = [](const std::function<void()>& get) -> std::string {
+    try {
+      get();
+    } catch (const util::PreconditionError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of([&f] { (void)f.get("hours", 1.0); }),
+            "--hours=abc is not a number");
+  EXPECT_EQ(error_of([&f] { (void)f.get("days", 1.0); }),
+            "--days=3x is not a number");
+  EXPECT_EQ(error_of([&f] { (void)f.get_ll("seed", 1LL); }),
+            "--seed= is not an integer in range");
+  EXPECT_THROW((void)f.get("days", 1), util::PreconditionError);
+  EXPECT_THROW((void)f.get("n", 1), util::PreconditionError);
+  EXPECT_THROW((void)f.get("big", 1), util::PreconditionError);
+  EXPECT_THROW((void)f.get("rate", 1.0), util::PreconditionError);
+  // Whole, in-range values still parse as before.
+  EXPECT_EQ(f.get("big", 0.0), 99999999999.0);
+  EXPECT_EQ(f.get_ll("big", 0LL), 99999999999LL);
+  EXPECT_EQ(f.get("ok", 0.0), 25.0);
+  EXPECT_EQ(f.get("neg", 0), -7);
 }
 
 TEST(Flags, CollectsPositionalsWhenAllowed) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 
 #include "util/check.h"
 #include "util/csv.h"
@@ -382,25 +381,9 @@ TEST(LinearFit, FlatDataHasZeroSlope) {
 // ------------------------------------------------------------------ csv.h
 
 TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, WritesRowsToDisk) {
-  const std::string path = "test_csv_out.csv";
-  {
-    CsvWriter csv(path);
-    csv.write_header({"t", "v"});
-    csv.write_row(std::vector<double>{1.0, 2.5});
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "t,v");
-  EXPECT_EQ(line2, "1,2.5");
-  std::filesystem::remove(path);
+  EXPECT_EQ(csv_escape("plain"), "plain");
+  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
 TEST(Csv, EnsureDirectoryCreatesAndTolerandsExisting) {

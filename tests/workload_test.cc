@@ -251,8 +251,9 @@ TEST(Viewing, ValidationRejectsBadParameters) {
 TEST(SessionGenerator, WalksAreLegalAndTerminate) {
   SessionGenerator gen(ViewingBehavior{}, 20);
   util::Rng rng(12);
+  std::vector<int> walk;
   for (int i = 0; i < 2000; ++i) {
-    const std::vector<int> walk = gen.sample_walk(rng);
+    gen.sample_walk(rng, walk);
     ASSERT_FALSE(walk.empty());
     for (std::size_t k = 0; k < walk.size(); ++k) {
       EXPECT_GE(walk[k], 0);
@@ -270,8 +271,10 @@ TEST(SessionGenerator, MeanWalkLengthMatchesAbsorbingChain) {
   SessionGenerator gen(cfg.behavior, cfg.chunks_per_video);
   util::Rng rng(13);
   util::SummaryStats lengths;
+  std::vector<int> walk;
   for (int i = 0; i < 50'000; ++i) {
-    lengths.add(static_cast<double>(gen.sample_walk(rng).size()));
+    gen.sample_walk(rng, walk);
+    lengths.add(static_cast<double>(walk.size()));
   }
   EXPECT_NEAR(lengths.mean() / analytic, 1.0, 0.03);
 }
