@@ -58,9 +58,7 @@ double total(const std::vector<double>& xs) {
   return std::accumulate(xs.begin(), xs.end(), 0.0);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   const double rate = flags.get("rate", 0.1);
   const int max_classes = flags.get("classes", 8);
@@ -152,3 +150,7 @@ int main(int argc, char** argv) {
       "per-class incentives or quotas, invisible to the mean-field.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

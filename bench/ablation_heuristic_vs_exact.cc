@@ -22,7 +22,9 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   const int instances = flags.get("instances", 25);
   util::Rng rng(static_cast<std::uint64_t>(flags.get_ll("seed", 42)));
@@ -102,3 +104,7 @@ int main(int argc, char** argv) {
               "percent of utility.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

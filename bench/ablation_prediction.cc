@@ -42,9 +42,7 @@ double true_hourly_rate(const workload::Workload& workload, int channel,
   return acc / 60.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   const int days = flags.get("days", 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
@@ -79,3 +77,7 @@ int main(int argc, char** argv) {
               "paper's predictor), which trails every ramp by one hour.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

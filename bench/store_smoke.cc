@@ -70,9 +70,7 @@ struct PhaseResult {
   double peak_rss_mb = 0.0;  // process high-water *after* the phase
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
 
   const long long cells_flag = flags.get_ll("cells", 10000);
@@ -199,3 +197,7 @@ int main(int argc, char** argv) {
   std::printf("[json] %s\n", out.c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

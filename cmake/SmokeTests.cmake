@@ -45,6 +45,10 @@ if(CLOUDMEDIA_BUILD_EXAMPLES)
   add_smoke_test(forecasting example_forecasting --days=2 --seed=42)
   add_smoke_test(geo_distributed example_geo_distributed --hours=2 --seed=42)
   add_smoke_test(trace_replay example_trace_replay --hours=2 --seed=42)
+  # Every example and bench routes its main through expr::run_main, so a
+  # malformed flag value prints `error: <why>` and exits 2, not SIGABRT.
+  add_exit_test(usage_error_example 2 "error: --hours=abc is not a number"
+    example_flash_crowd --hours=abc)
 endif()
 
 if(CLOUDMEDIA_BUILD_TOOLS)
@@ -162,18 +166,13 @@ if(CLOUDMEDIA_BUILD_BENCH)
   add_smoke_test(ablation_p2p_cap bench_ablation_p2p_cap)
   add_smoke_test(ablation_prediction bench_ablation_prediction --days=1
     --seed=42)
-  # Sweep-engine throughput tracker (3x3 grid, downsized horizon).
-  add_smoke_test(sweep_bench bench_sweep_smoke --hours=0.25 --warmup=0.1
-    --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_sweep.json)
+  add_exit_test(usage_error_bench 2 "error: --days=x is not an integer"
+    bench_ablation_prediction --days=x)
   # Streaming results-store gate at smoke scale (the full ~10k-cell grid
   # runs in a dedicated CI step): flat streaming RSS + buffered separation.
   add_smoke_test(store_bench bench_store_smoke --cells=3072
     --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_store_smoke.json
     --store-out=${CMAKE_BINARY_DIR}/artifacts/store_smoke)
-  # Cohort-engine scale gate at smoke size (1M peak viewers; the full
-  # 10M-viewer day runs in a dedicated CI step).
-  add_smoke_test(cohort_bench bench_cohort_smoke --viewers=1000000 --hours=24
-    --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_cohort_smoke.json)
 endif()
 
 # Cohort/discrete engine equivalence gates the smoke tier too: engine=auto

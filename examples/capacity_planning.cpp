@@ -18,7 +18,9 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   const double total_rate = flags.get("rate", 1.1);
   const double uplink_ratio = flags.get("ratio", 1.0);
@@ -93,3 +95,7 @@ int main(int argc, char** argv) {
               "--rate to watch the budget constraints bind.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

@@ -15,7 +15,9 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   const double hours = flags.get("hours", 12.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
@@ -53,3 +55,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

@@ -17,7 +17,9 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
 
   expr::ExperimentConfig cfg =
@@ -54,3 +56,7 @@ int main(int argc, char** argv) {
               "peer upload absorb the transient.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

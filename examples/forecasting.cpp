@@ -26,7 +26,9 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   const int days = flags.get("days", 5);
   const int channel = flags.get("channel", 0);
@@ -138,3 +140,7 @@ int main(int argc, char** argv) {
       "direction.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

@@ -26,7 +26,9 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   const double hours = flags.get("hours", 24.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
@@ -105,3 +107,7 @@ int main(int argc, char** argv) {
       "a single VM.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

@@ -14,20 +14,21 @@
 #              goldens/ snapshot where one exists; plus the cohort/discrete
 #              engine-equivalence tests and the distributed path —
 #              sweep_demo as two --shard halves, --merge, cmp.
-#   --bench    the three self-gating performance benches CI runs at full
-#              scale: bench_store_smoke (streaming-RSS gates),
-#              bench_cohort_smoke (10M-viewer day), bench_discrete_smoke
-#              (events/s >= 2x the pre-overhaul baseline + RSS cap). Each
-#              writes its BENCH_*.json under <build-dir>/artifacts/. Then
-#              the benchmark's own Release build (perfbench/ into
-#              .bench_build/) and its test suite, as CI runs them.
+#   --bench    the performance gates CI runs at full scale:
+#              bench_store_smoke (streaming-RSS gates, BENCH_store.json),
+#              the cohort tests (equivalence + the 10M-viewer day), and
+#              tool_sweep on profiles/bench/p2p_flash_discrete.json (its
+#              gate: events/s >= 2x the pre-overhaul baseline + RSS cap),
+#              writing under <build-dir>/artifacts/. Then the benchmark's
+#              own Release build (perfbench/ into .bench_build/) and its
+#              test suite, as CI runs them.
 #
 # The selected tier's exit code is the script's exit code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 MODE=full
@@ -124,12 +125,13 @@ case "$MODE" in
     "$BUILD_DIR/bench/bench_store_smoke" \
       --out="$OUT/BENCH_store.json" \
       --store-out="$OUT/store_full/run" || rc=1
-    echo "== bench_cohort_smoke (10M-viewer day) =="
-    "$BUILD_DIR/bench/bench_cohort_smoke" \
-      --out="$OUT/BENCH_cohort.json" || rc=1
-    echo "== bench_discrete_smoke (events/s >= 2x baseline) =="
-    "$BUILD_DIR/bench/bench_discrete_smoke" \
-      --out="$OUT/BENCH_discrete.json" || rc=1
+    echo "== cohort tests (equivalence + 10M-viewer day) =="
+    ctest --test-dir "$BUILD_DIR" -R '[Cc]ohort' --output-on-failure \
+      -j "$JOBS" || rc=1
+    echo "== profiles/bench/p2p_flash_discrete.json (events/s + RSS gate) =="
+    "$BUILD_DIR/tools/tool_sweep" \
+      --profile=profiles/bench/p2p_flash_discrete.json \
+      --out="$OUT/bench/p2p_flash_discrete" || rc=1
     # The benchmark builds StreamingSystem and CohortSystem from the
     # public vod headers: a vod API change that breaks it fails here.
     echo "== perfbench build + tests =="

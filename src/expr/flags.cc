@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -117,7 +118,9 @@ bool Flags::get(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   const std::string& value = it->second.back();
-  return value == "true" || value == "1" || value == "yes";
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  reject_value(key, value, "a boolean (true|false|1|0|yes|no)");
 }
 
 std::vector<std::string> Flags::get_all(const std::string& key) const {
@@ -147,6 +150,15 @@ void Flags::require_known(const std::vector<std::string>& known) const {
     for (const std::string& candidate : known) message += " --" + candidate;
     message += ")";
     throw util::PreconditionError(message);
+  }
+}
+
+int run_main(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const util::PreconditionError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
   }
 }
 

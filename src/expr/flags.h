@@ -13,9 +13,9 @@ namespace cloudmedia::expr {
 /// Unknown positional arguments throw util::PreconditionError (benches take
 /// no positionals) unless the caller opts in, in which case non-flag tokens
 /// that were not consumed as a `--key value` value collect into
-/// positionals() in order. Numeric getters parse the whole value and throw
-/// util::PreconditionError naming the flag on a malformed or out-of-range
-/// one (`--hours=abc`, `--hours=3x`).
+/// positionals() in order. Numeric and boolean getters parse the whole
+/// value and throw util::PreconditionError naming the flag on a malformed
+/// or out-of-range one (`--hours=abc`, `--hours=3x`, `--p2p=ture`).
 class Flags {
  public:
   Flags(int argc, const char* const* argv, bool allow_positionals = false);
@@ -31,6 +31,7 @@ class Flags {
   [[nodiscard]] double get(const std::string& key, double fallback) const;
   [[nodiscard]] int get(const std::string& key, int fallback) const;
   [[nodiscard]] long long get_ll(const std::string& key, long long fallback) const;
+  /// Exactly true|1|yes or false|0|no; anything else throws.
   [[nodiscard]] bool get(const std::string& key, bool fallback) const;
   /// All values given for a repeated flag, in command-line order (empty
   /// when the flag is absent).
@@ -48,5 +49,12 @@ class Flags {
   std::map<std::string, std::vector<std::string>> values_;
   std::vector<std::string> positionals_;
 };
+
+/// The body of a binary's main: `int main(int argc, char** argv) { return
+/// run_main(argc, argv, run); }`. Returns run's exit code; a
+/// util::PreconditionError (a usage error: malformed flag value, unknown
+/// flag, out-of-range option) prints `error: <why>` to stderr and returns 2
+/// instead of ending in std::terminate.
+int run_main(int argc, char** argv, int (*run)(int, char**));
 
 }  // namespace cloudmedia::expr

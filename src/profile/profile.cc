@@ -1,6 +1,7 @@
 #include "profile/profile.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -186,10 +187,12 @@ void for_each_member(const std::string& where, const util::JsonValue& value,
   if (!value.is_object()) {
     fail_key(where, std::string("expected an object, got ") + type_name(value));
   }
+  std::vector<std::string> valid = required;
+  valid.insert(valid.end(), optional.begin(), optional.end());
   for (const auto& [key, member] : value.members()) {
-    if (!contains(required, key) && !contains(optional, key)) {
-      fail_key(where, "unknown key '" + key + "' (valid keys: " +
-                          join(required) + ", " + join(optional) + ")");
+    if (!contains(valid, key)) {
+      fail_key(where, "unknown key '" + key + "' (valid keys: " + join(valid) +
+                          ")");
     }
     visit(key, member);
   }
@@ -259,6 +262,47 @@ util::JsonValue paper_to_json(const PaperBlock& block) {
   return doc;
 }
 
+/// The gate's bounds in key order, unset ones included.
+std::array<std::pair<const char*, std::optional<double>>, 2> gate_bounds(
+    const GateBlock& gate) {
+  return {{{"min_events_per_sec", gate.min_events_per_sec},
+           {"max_peak_rss_mb", gate.max_peak_rss_mb}}};
+}
+
+GateBlock parse_gate(const util::JsonValue& value) {
+  GateBlock gate;
+  for_each_member(
+      "gate", value, {}, {"min_events_per_sec", "max_peak_rss_mb"},
+      [&gate](const std::string& key, const util::JsonValue& member) {
+        const double bound = require_number("gate." + key, member);
+        if (key == "min_events_per_sec") gate.min_events_per_sec = bound;
+        if (key == "max_peak_rss_mb") gate.max_peak_rss_mb = bound;
+      });
+  return gate;
+}
+
+util::JsonValue gate_to_json(const GateBlock& gate) {
+  util::JsonValue doc = util::JsonValue::object();
+  for (const auto& [key, bound] : gate_bounds(gate)) {
+    if (bound) doc[key] = *bound;
+  }
+  return doc;
+}
+
+void validate_gate(const GateBlock& gate) {
+  if (!gate.min_events_per_sec && !gate.max_peak_rss_mb) {
+    fail_key("gate", "needs at least one bound (min_events_per_sec, "
+                     "max_peak_rss_mb)");
+  }
+  for (const auto& [key, bound] : gate_bounds(gate)) {
+    if (bound && !(*bound > 0.0 && std::isfinite(*bound))) {
+      fail_key(std::string("gate.") + key,
+               "must be a finite number > 0, got " +
+                   util::format_number(*bound));
+    }
+  }
+}
+
 /// `prefix` names the block the horizon belongs to ("" or "paper.").
 void validate_horizon(const std::string& prefix, double warmup_hours,
                       double measure_hours) {
@@ -311,6 +355,7 @@ const std::vector<std::string>& profile_keys() {
   static const std::vector<std::string> keys = {
       "name",          "description", "scenario",  "seed",  "warmup_hours",
       "measure_hours", "grid",        "overrides", "shard", "paper",
+      "gate",
   };
   return keys;
 }
@@ -356,6 +401,20 @@ std::vector<ClaimCheck> check_claims(const PaperBlock& block,
   return checks;
 }
 
+std::vector<GateCheck> check_gate(const GateBlock& gate,
+                                  double events_per_sec, double peak_rss_mb) {
+  std::vector<GateCheck> checks;
+  if (const auto& bound = gate.min_events_per_sec) {
+    checks.push_back({"min_events_per_sec", *bound, events_per_sec,
+                      events_per_sec >= *bound});
+  }
+  if (const auto& bound = gate.max_peak_rss_mb) {
+    checks.push_back(
+        {"max_peak_rss_mb", *bound, peak_rss_mb, peak_rss_mb <= *bound});
+  }
+  return checks;
+}
+
 Profile Profile::from_json(const util::JsonValue& doc,
                            const sweep::ScenarioCatalog& catalog) {
   if (!doc.is_object()) {
@@ -389,6 +448,8 @@ Profile Profile::from_json(const util::JsonValue& doc,
       p.shard = sweep::ShardSpec::parse(require_string(key, value));
     } else if (key == "paper") {
       p.paper = parse_paper(value);
+    } else if (key == "gate") {
+      p.gate = parse_gate(value);
     } else {
       fail_unknown_key(key);
     }
@@ -457,6 +518,7 @@ util::JsonValue Profile::to_json() const {
   }
   if (!shard.whole()) doc["shard"] = shard.label();
   if (paper) doc["paper"] = paper_to_json(*paper);
+  if (gate) doc["gate"] = gate_to_json(*gate);
   return doc;
 }
 
@@ -466,6 +528,7 @@ void Profile::validate(const sweep::ScenarioCatalog& catalog) const {
     fail_key("shard", "must be k/N with 0 <= k < N, got " + shard.label());
   }
   if (paper) validate_paper(*paper, grid);
+  if (gate) validate_gate(*gate);
   // The scenario expression (including any `@` fire times) resolves
   // against the catalog — unknown parts and malformed times throw the
   // resolver's teaching errors.

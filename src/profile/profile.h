@@ -56,12 +56,38 @@ struct ClaimCheck {
 [[nodiscard]] std::vector<ClaimCheck> check_claims(
     const PaperBlock& block, const sweep::SweepResult& result);
 
+/// Performance bounds a run of the profile must hold (the optional `gate`
+/// block; at least one bound, each finite and > 0). Like PaperBlock it is
+/// kept out of SweepSpec and spec_hash(): it judges a run, it does not
+/// change what the sweep computes.
+struct GateBlock {
+  /// Sim events of every cell over the wall time of SweepRunner::run.
+  std::optional<double> min_events_per_sec;
+  /// Process peak resident set size (util::peak_rss_mb()).
+  std::optional<double> max_peak_rss_mb;
+};
+
+/// One bound of a GateBlock against its measured value.
+struct GateCheck {
+  std::string bound_name;  ///< the gate key, e.g. "min_events_per_sec"
+  double bound = 0.0;
+  double measured = 0.0;
+  bool ok = true;
+};
+
+/// Check each bound `gate` sets, in key order, against a run's measured
+/// throughput and peak RSS.
+[[nodiscard]] std::vector<GateCheck> check_gate(const GateBlock& gate,
+                                                double events_per_sec,
+                                                double peak_rss_mb);
+
 /// A complete, declarative description of one experiment/sweep — the JSON
 /// experiment-profile schema. Everything that defines *what a sweep
 /// computes* lives here: the scenario expression (including `@` timeline
 /// ops), the grid axes, fixed parameter overrides, seed, horizon, and
 /// shard slice — plus, optionally, what the paper reports for it (the
-/// `paper` block, see PaperBlock). Execution knobs that cannot change the
+/// `paper` block, see PaperBlock) and the performance a run must hold (the
+/// `gate` block, see GateBlock). Execution knobs that cannot change the
 /// output bytes (threads, keep_results, customize, sink) deliberately stay
 /// out — they belong to SweepSpec, and `tool_sweep --dump-profile` proves
 /// the profile side round-trips losslessly: JSON -> Profile ->
@@ -98,6 +124,10 @@ struct ClaimCheck {
 ///         {"cell": "mode=cs", "metric": "cost_per_hour", "paper": 48,
 ///          "tolerance": 0.011, "gap": "unexplained"}
 ///       ]
+///     },
+///     "gate": {                             // perf bounds, see GateBlock;
+///       "min_events_per_sec": 392000,       // never part of the SweepSpec
+///       "max_peak_rss_mb": 32
 ///     }
 ///   }
 ///
@@ -124,6 +154,8 @@ struct Profile {
   /// What the paper reports for this experiment (optional). Its claims
   /// name cells of `grid`, so validate() checks them against it.
   std::optional<PaperBlock> paper;
+  /// The performance bounds `tool_sweep` enforces after a run (optional).
+  std::optional<GateBlock> gate;
 
   /// Parse and fully validate a profile document. Throws
   /// util::PreconditionError with a teaching message on an unknown key
@@ -132,7 +164,8 @@ struct Profile {
   /// or `@` fire time, an unknown grid parameter or override, an invalid
   /// parameter value, a bad shard ("k/N" with k < N), or a paper claim
   /// naming a cell the grid does not have or an unknown metric (both
-  /// errors list the valid names) or with a tolerance <= 0.
+  /// errors list the valid names) or with a tolerance <= 0, or a gate
+  /// block that is empty or has a bound that is not finite and > 0.
   [[nodiscard]] static Profile from_json(
       const util::JsonValue& doc,
       const sweep::ScenarioCatalog& catalog = sweep::ScenarioCatalog::global());
@@ -143,9 +176,9 @@ struct Profile {
       const sweep::ScenarioCatalog& catalog = sweep::ScenarioCatalog::global());
 
   /// Rebuild the declarative side of a spec (the inverse of
-  /// SweepSpec::from_profile). name/description (and the paper block) are
-  /// not spec fields, so the caller threads them through; execution knobs
-  /// are dropped.
+  /// SweepSpec::from_profile). name/description (and the paper and gate
+  /// blocks) are not spec fields, so the caller threads them through;
+  /// execution knobs are dropped.
   [[nodiscard]] static Profile from_spec(const sweep::SweepSpec& spec,
                                          std::string name = {},
                                          std::string description = {});
@@ -156,9 +189,9 @@ struct Profile {
 
   /// Re-validate the semantic constraints (horizons, scenario expression,
   /// grid/override values against the applier registry, paper claims
-  /// against the grid). from_json validates on entry; call this again
-  /// after mutating fields in code. SweepSpec::from_profile always calls
-  /// it.
+  /// against the grid, gate bounds). from_json validates on entry; call
+  /// this again after mutating fields in code. SweepSpec::from_profile
+  /// always calls it.
   void validate(const sweep::ScenarioCatalog& catalog =
                     sweep::ScenarioCatalog::global()) const;
 };

@@ -33,7 +33,8 @@ struct CohortOptions {
 /// demand drives the pools as fluid job counts (ServicePool::set_fluid_jobs)
 /// rather than per-viewer discrete jobs. Cost: O(cohorts · J²) per window
 /// instead of O(viewers) heap events — a 10M-peak-viewer day runs in
-/// seconds (bench/cohort_smoke.cc).
+/// seconds (CohortScale.CalibratedCliffDayReachesTenMillionPeak in
+/// tests/cohort_test.cc).
 ///
 /// What is exact and what is fluid:
 ///  - exact: arrival counts (Poisson per channel-window), the provisioning

@@ -1,8 +1,9 @@
 // The cohort/fluid engine's correctness surface: the bulk event scheduler,
 // the batched Poisson arrivals, the engine knob, discrete/auto equivalence
 // at small N (the `auto` routing guarantee every committed golden relies
-// on), cohort-engine determinism, and mass conservation in a forced-cohort
-// run.
+// on), cohort-engine determinism, mass conservation in a forced-cohort
+// run, and the engine's scale claim: a calibrated day reaches a 10M
+// concurrent peak.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "expr/config.h"
 #include "expr/runner.h"
 #include "sim/simulator.h"
+#include "sweep/scenario_catalog.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "vod/cohort_system.h"
@@ -449,6 +451,33 @@ TEST(CohortSystem, ConservesViewerMass) {
   EXPECT_EQ(system.metrics().counters.arrivals,
             static_cast<long>(system.viewers_admitted()));
   EXPECT_GT(system.live_cohorts(), 0u);
+}
+
+// ------------------------------------------------------------- cohort scale
+
+TEST(CohortScale, CalibratedCliffDayReachesTenMillionPeak) {
+  // The cohort engine exists to run populations the discrete engine cannot
+  // touch: one live_event_cliff day with the arrival rate calibrated to a
+  // 10M concurrent peak (perfbench's cohort_10m uses the same
+  // calibration). estimated_peak_users() is linear in the arrival rate,
+  // and the realized peak lands below the closed-form estimate (the cliff
+  // is narrower than a session), so the rate carries a 1.3 factor. The
+  // run is deterministic at seed 42, and its cost does not grow with the
+  // target.
+  constexpr double kTargetPeak = 1e7;
+  expr::ExperimentConfig cfg =
+      sweep::ScenarioCatalog::global().make_config("live_event_cliff");
+  cfg.warmup_hours = 0.0;
+  cfg.measure_hours = 24.0;
+  cfg.seed = 42;
+  cfg.engine = expr::Engine::kCohort;
+  cfg.workload.total_arrival_rate = 1.0;
+  cfg.workload.total_arrival_rate =
+      1.3 * kTargetPeak / expr::estimated_peak_users(cfg);
+
+  const expr::ExperimentResult result = expr::ExperimentRunner::run(cfg);
+  EXPECT_TRUE(result.used_cohort_engine);
+  EXPECT_GE(result.metrics.concurrent_users.max_value(), kTargetPeak);
 }
 
 }  // namespace

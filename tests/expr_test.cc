@@ -46,6 +46,41 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_TRUE(make_flags({"--a=1"}).get("a", false));
   EXPECT_TRUE(make_flags({"--a=yes"}).get("a", false));
   EXPECT_FALSE(make_flags({"--a=no"}).get("a", true));
+  EXPECT_FALSE(make_flags({"--a=false"}).get("a", true));
+  EXPECT_FALSE(make_flags({"--a=0"}).get("a", true));
+  EXPECT_FALSE(make_flags({"--a", "no"}).get("a", true));
+}
+
+TEST(Flags, RejectsMalformedBooleansNamingTheFlag) {
+  // `--p2p=ture` must not silently read as false.
+  for (const char* arg : {"--p2p=ture", "--p2p=", "--p2p=TRUE", "--p2p=2"}) {
+    SCOPED_TRACE(arg);
+    try {
+      (void)make_flags({arg}).get("p2p", false);
+      ADD_FAILURE() << "accepted " << arg;
+    } catch (const util::PreconditionError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string(arg) +
+                    " is not a boolean (true|false|1|0|yes|no)");
+    }
+  }
+}
+
+TEST(RunMain, UsageErrorsExitTwoAndOtherCodesPassThrough) {
+  std::vector<char*> argv{const_cast<char*>("prog")};
+  EXPECT_EQ(run_main(1, argv.data(), [](int, char**) { return 0; }), 0);
+  EXPECT_EQ(run_main(1, argv.data(), [](int, char**) { return 1; }), 1);
+  EXPECT_EQ(run_main(1, argv.data(),
+                     [](int, char**) -> int {
+                       throw util::PreconditionError("--hours=abc is bad");
+                     }),
+            2);
+  // Only usage errors are caught: an invariant failure is a bug.
+  EXPECT_THROW((void)run_main(1, argv.data(),
+                              [](int, char**) -> int {
+                                throw util::InvariantError("broken");
+                              }),
+               util::InvariantError);
 }
 
 TEST(Flags, RejectsPositionalArguments) {

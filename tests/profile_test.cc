@@ -1,6 +1,8 @@
 // The declarative experiment-profile schema (src/profile/): junk documents
-// are rejected with teaching errors at load time, every committed
-// profiles/*.json byte-round-trips through Profile -> SweepSpec -> Profile,
+// are rejected with teaching errors at load time, every committed profile
+// (profiles/*.json and the bench/ and fuzz/ subdirectories)
+// byte-round-trips through Profile -> SweepSpec -> Profile, the gate block
+// validates and evaluates its bounds,
 // the build-time embedded copies agree with the files on disk, the fuzzer
 // is seed-deterministic, and the pinned fuzzer-found repro under
 // profiles/fuzz/ keeps passing the invariant checker.
@@ -11,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -172,6 +176,20 @@ TEST(ProfileSchema, DuplicateKeysAreLastWinsAtTheParser) {
 // SweepSpec::from_profile / Profile::from_spec. This is the property that
 // makes `tool_sweep --dump-profile` a lossless canonicalizer and keeps the
 // goldens regenerable from profiles/*.json alone.
+/// `committed` is canonical: it dumps back to its own bytes, directly and
+/// through the spec with the paper and gate blocks threaded around it (the
+/// `tool_sweep --dump-profile` path). Returns the parsed profile.
+Profile expect_canonical(const std::string& committed) {
+  const Profile p = parse(committed);
+  EXPECT_EQ(p.to_json().dump(2) + "\n", committed);
+  Profile back = Profile::from_spec(sweep::SweepSpec::from_profile(p), p.name,
+                                    p.description);
+  back.paper = p.paper;
+  back.gate = p.gate;
+  EXPECT_EQ(back.to_json().dump(2) + "\n", committed);
+  return p;
+}
+
 TEST(ProfileRoundTrip, AllCommittedProfilesAreByteStable) {
   const std::vector<EmbeddedProfile>& embedded = embedded_golden_profiles();
   ASSERT_GE(embedded.size(), 19u);
@@ -180,18 +198,30 @@ TEST(ProfileRoundTrip, AllCommittedProfilesAreByteStable) {
     const std::string committed = read_file(profile_path(entry.name));
     EXPECT_EQ(committed, entry.json)
         << "embedded copy is stale — rerun cmake (EmbedProfiles.cmake)";
-    const Profile p = parse(committed);
-    EXPECT_EQ(p.name, entry.name)
+    EXPECT_EQ(expect_canonical(committed).name, entry.name)
         << "profile file stem and \"name\" field disagree";
-    const std::string dumped = p.to_json().dump(2) + "\n";
-    EXPECT_EQ(dumped, committed);
-    const sweep::SweepSpec spec = sweep::SweepSpec::from_profile(p);
-    // The paper block is not a spec field: thread it through like the
-    // name, as `tool_sweep --dump-profile` does.
-    Profile back = Profile::from_spec(spec, p.name, p.description);
-    back.paper = p.paper;
-    EXPECT_EQ(back.to_json().dump(2) + "\n", committed);
   }
+}
+
+TEST(ProfileRoundTrip, BenchAndFuzzProfilesAreByteStable) {
+  // The subdirectories are not golden presets (nothing embeds them), so
+  // they are read from disk: bench/ holds gated benchmarks, fuzz/ pinned
+  // fuzzer repros.
+  std::size_t files = 0;
+  bool saw_gate = false;
+  for (const char* dir : {"bench", "fuzz"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(CLOUDMEDIA_PROFILE_DIR) + "/" + dir)) {
+      if (entry.path().extension() != ".json") continue;
+      SCOPED_TRACE(entry.path().string());
+      ++files;
+      const Profile p = expect_canonical(read_file(entry.path().string()));
+      EXPECT_EQ(p.name, entry.path().stem().string());
+      saw_gate = saw_gate || p.gate.has_value();
+    }
+  }
+  EXPECT_GE(files, 2u);
+  EXPECT_TRUE(saw_gate) << "profiles/bench/ should hold a gated profile";
 }
 
 TEST(ProfileRoundTrip, GoldenPresetsCarryTheirProfile) {
@@ -328,6 +358,93 @@ TEST(PaperClaims, DumpProfileRoundTripsAPaperBlock) {
   bare.paper.reset();
   EXPECT_EQ(sweep::SweepSpec::from_profile(bare).spec_hash(),
             spec.spec_hash());
+}
+
+// ------------------------------------------------------------ gate block
+
+TEST(ProfileGate, AcceptsOneOrBothBoundsAndRoundTrips) {
+  const Profile events = parse(R"({"gate": {"min_events_per_sec": 392000}})");
+  ASSERT_TRUE(events.gate.has_value());
+  EXPECT_EQ(events.gate->min_events_per_sec, 392000.0);
+  EXPECT_FALSE(events.gate->max_peak_rss_mb.has_value());
+
+  const Profile rss = parse(R"({"gate": {"max_peak_rss_mb": 32}})");
+  ASSERT_TRUE(rss.gate.has_value());
+  EXPECT_FALSE(rss.gate->min_events_per_sec.has_value());
+  EXPECT_EQ(rss.gate->max_peak_rss_mb, 32.0);
+
+  // Both keys, written out of order, dump in key order and round-trip.
+  Profile both = parse(R"({"gate": {"max_peak_rss_mb": 32,
+                                    "min_events_per_sec": 392000}})");
+  const std::string canonical = both.to_json().dump(2);
+  EXPECT_NE(canonical.find("\"gate\": {\n    \"min_events_per_sec\": 392000,"
+                           "\n    \"max_peak_rss_mb\": 32\n  }"),
+            std::string::npos)
+      << canonical;
+  EXPECT_EQ(parse(canonical).to_json().dump(2), canonical);
+  // Like the paper block, the gate never reaches what the sweep computes.
+  Profile bare = both;
+  bare.gate.reset();
+  EXPECT_EQ(sweep::SweepSpec::from_profile(bare).spec_hash(),
+            sweep::SweepSpec::from_profile(both).spec_hash());
+  EXPECT_FALSE(Profile::from_spec(sweep::SweepSpec::from_profile(both))
+                   .gate.has_value());
+}
+
+TEST(ProfileGate, RejectsUnknownKeysEmptyBlocksAndBadBounds) {
+  expect_rejected(R"({"gate": {"min_events_per_second": 1}})",
+                  {"gate", "unknown key 'min_events_per_second'",
+                   "valid keys: min_events_per_sec, max_peak_rss_mb"});
+  expect_rejected(R"({"gate": {}})", {"gate", "at least one bound"});
+  expect_rejected(R"({"gate": 32})", {"gate", "expected an object"});
+  expect_rejected(R"({"gate": {"max_peak_rss_mb": "32"}})",
+                  {"gate.max_peak_rss_mb", "expected a number"});
+  for (const char* bound : {"0", "-1"}) {
+    expect_rejected(std::string(R"({"gate": {"min_events_per_sec": )") +
+                        bound + "}}",
+                    {"gate.min_events_per_sec", "finite number > 0"});
+    expect_rejected(std::string(R"({"gate": {"max_peak_rss_mb": )") + bound +
+                        "}}",
+                    {"gate.max_peak_rss_mb", "finite number > 0"});
+  }
+  // JSON has no spelling for infinity or NaN; a profile built in code can.
+  for (const double bound : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    Profile p;
+    p.gate = GateBlock{};
+    p.gate->max_peak_rss_mb = bound;
+    EXPECT_THROW(p.validate(), util::PreconditionError);
+  }
+}
+
+TEST(ProfileGate, ReportsOkOrFailPerBound) {
+  GateBlock gate;
+  gate.min_events_per_sec = 392000.0;
+  gate.max_peak_rss_mb = 32.0;
+
+  std::vector<GateCheck> checks = check_gate(gate, 1.4e6, 12.0);
+  ASSERT_EQ(checks.size(), 2u);
+  EXPECT_EQ(checks[0].bound_name, "min_events_per_sec");
+  EXPECT_EQ(checks[0].bound, 392000.0);
+  EXPECT_EQ(checks[0].measured, 1.4e6);
+  EXPECT_TRUE(checks[0].ok);
+  EXPECT_EQ(checks[1].bound_name, "max_peak_rss_mb");
+  EXPECT_EQ(checks[1].measured, 12.0);
+  EXPECT_TRUE(checks[1].ok);
+
+  // Each bound fails on its own side; a value at the bound holds.
+  checks = check_gate(gate, 3.9e5, 32.0);
+  EXPECT_FALSE(checks[0].ok);
+  EXPECT_TRUE(checks[1].ok);
+  checks = check_gate(gate, 392000.0, 57.0);
+  EXPECT_TRUE(checks[0].ok);
+  EXPECT_FALSE(checks[1].ok);
+
+  // An unset bound is not checked.
+  gate.min_events_per_sec.reset();
+  checks = check_gate(gate, 0.0, 1.0);
+  ASSERT_EQ(checks.size(), 1u);
+  EXPECT_EQ(checks[0].bound_name, "max_peak_rss_mb");
 }
 
 TEST(FlagsRequireKnown, SuggestsCloseFlagAndListsValid) {

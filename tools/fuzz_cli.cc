@@ -68,7 +68,7 @@ int replay(const std::string& path, unsigned threads) {
 int run(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"runs", "seed", "threads", "out", "replay", "help"});
-  if (flags.has("help")) {
+  if (flags.get("help", false)) {
     std::printf(
         "usage: tool_fuzz --runs=25 --seed=1 [--threads=N] "
         "[--out=results/fuzz]\n       tool_fuzz --replay=<repro.json> "
@@ -144,11 +144,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const util::PreconditionError& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }

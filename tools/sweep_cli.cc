@@ -13,8 +13,9 @@
 // in canonical form in the CSV/JSON scenario column.
 //
 // Output is byte-identical for any --threads value: every run owns its own
-// Simulator + StreamingSystem, and its seed depends only on the base seed
-// and the workload-shaping grid coordinates.
+// Simulator and engine (StreamingSystem, or CohortSystem for a cohort
+// cell), and its seed depends only on the base seed and the
+// workload-shaping grid coordinates.
 //
 // Flags: --scenario=baseline_diurnal (a name or a+b composite)
 //        --grid name=v1,v2 (repeatable)
@@ -41,6 +42,7 @@
 //                 profile's `paper` block and check its claims, see below)
 //        --list (print scenarios with their ops, grid parameters, golden
 //                presets and exit)
+//        --help (same as --list)
 //        --list-goldens (print one golden preset name per line, for scripts)
 //
 // Unknown flags are rejected with a did-you-mean suggestion (so --sede
@@ -48,7 +50,14 @@
 // `error: <why>` and exits 2. Precedence, weakest to strongest: profile
 // file < --scenario/--grid/--set < --seed/--warmup/--hours/--threads/
 // --shard. --scenario, --grid and --set change what runs, so they drop a
-// profile's `paper` block.
+// profile's `paper` and `gate` blocks. The switches (--paper,
+// --dump-profile, --list, --help, --list-goldens) take no value or exactly
+// true|false|1|0|yes|no.
+//
+// Gated runs — when the profile has a `gate` block (profiles/bench/*.json),
+// each bound prints beside its measured value (the aggregate events/s
+// line, the process peak RSS) with `ok` or `FAIL`; a FAIL exits 1.
+// Sanitizer builds skip the bounds.
 //
 // Every figure and ablation of the paper's evaluation is a golden preset
 // (fig04_provisioning ... ablation_prediction, see --list); CI and
@@ -111,6 +120,7 @@
 #include "sweep/thread_pool.h"
 #include "util/check.h"
 #include "util/json.h"
+#include "util/rss.h"
 
 using namespace cloudmedia;
 
@@ -212,6 +222,26 @@ int run_merge(int argc, char** argv) {
   return 0;
 }
 
+/// One row per gate bound; returns true when every bound holds.
+/// Sanitizer shadow memory and instrumentation distort both measurements,
+/// so sanitized builds skip the bounds.
+bool print_gate(const profile::GateBlock& gate, double events_per_sec) {
+  if (util::kSanitizedBuild) {
+    std::printf("\ngate: sanitizer build, bounds skipped\n");
+    return true;
+  }
+  std::printf("\ngate:\n");
+  bool held = true;
+  for (const profile::GateCheck& check :
+       profile::check_gate(gate, events_per_sec, util::peak_rss_mb())) {
+    std::printf("  %-20s %12.4g  measured %12.4g  %s\n",
+                check.bound_name.c_str(), check.bound, check.measured,
+                check.ok ? "ok" : "FAIL");
+    held = held && check.ok;
+  }
+  return held;
+}
+
 /// One row per claim; returns true when none is a MISS.
 bool print_claims(const profile::PaperBlock& block,
                   const sweep::SweepResult& result) {
@@ -246,11 +276,11 @@ int run(int argc, char** argv) {
                        "dump-profile", "set", "scenario", "grid", "seed",
                        "threads", "hours", "warmup", "shard", "out",
                        "paper"});
-  if (flags.has("list") || flags.has("help")) {
+  if (flags.get("list", false) || flags.get("help", false)) {
     print_listing();
     return 0;
   }
-  if (flags.has("list-goldens")) {
+  if (flags.get("list-goldens", false)) {
     for (const sweep::GoldenPreset& preset : sweep::golden_presets()) {
       std::printf("%s\n", preset.name.c_str());
     }
@@ -293,9 +323,11 @@ int run(int argc, char** argv) {
     // --dump-profile prints what would actually run: --scenario and
     // --grid replace their fields, --set pins registry parameters
     // (last occurrence of a name wins). The paper's claims describe the
-    // profile as written, so any of them drops the paper block.
+    // profile as written, and its gate bounds a run of it, so any of
+    // them drops both blocks.
     if (flags.has("scenario") || flags.has("grid") || flags.has("set")) {
       prof.paper.reset();
+      prof.gate.reset();
     }
     if (flags.has("scenario")) {
       prof.scenario = flags.get("scenario", prof.scenario);
@@ -325,7 +357,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  if (flags.has("dump-profile")) {
+  if (flags.get("dump-profile", false)) {
     // Canonical round trip, deliberately THROUGH the spec: JSON ->
     // Profile -> SweepSpec -> Profile -> JSON. cmp'ing the output
     // against a committed profiles/<name>.json proves the spec layer
@@ -334,11 +366,12 @@ int run(int argc, char** argv) {
     profile::Profile round =
         profile::Profile::from_spec(spec, prof.name, prof.description);
     round.paper = prof.paper;
+    round.gate = prof.gate;
     std::fputs((round.to_json().dump(2) + "\n").c_str(), stdout);
     return 0;
   }
 
-  const bool paper = flags.has("paper");
+  const bool paper = flags.get("paper", false);
   if (paper) {
     if (!prof.paper) {
       throw util::PreconditionError(
@@ -423,34 +456,28 @@ int run(int argc, char** argv) {
                 run.mean_used_peer_mbps, run.cost_per_hour);
   }
 
-  // Aggregate engine throughput across every cell of the sweep — the
-  // sibling of bench_discrete_smoke's single-run figure, measured on
-  // whatever grid the user actually ran.
+  // Aggregate engine throughput across every cell of the sweep, measured
+  // on whatever grid the user actually ran; a profile's gate bounds it.
   std::uint64_t total_events = 0;
   for (const sweep::RunSummary& run : result.runs) {
     total_events += run.sim_events;
   }
+  const double events_per_sec =
+      wall > 0.0 ? static_cast<double>(total_events) / wall : 0.0;
   std::printf("\n%zu runs, %llu sim events in %.2f s wall (%.3g events/s "
               "aggregate, %u threads)\n",
               result.runs.size(),
               static_cast<unsigned long long>(total_events), wall,
-              wall > 0.0 ? static_cast<double>(total_events) / wall : 0.0,
-              threads);
+              events_per_sec, threads);
 
   result.write(out);
   std::printf("\n[csv]    %s.csv\n[json]   %s.json\n[jsonl]  %s (streamed)\n",
               out.c_str(), out.c_str(), results_store.jsonl_path().c_str());
-  if (paper && !print_claims(*prof.paper, result)) return 1;
-  return 0;
+  const bool claims_held = !paper || print_claims(*prof.paper, result);
+  const bool gate_held = !prof.gate || print_gate(*prof.gate, events_per_sec);
+  return claims_held && gate_held ? 0 : 1;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const util::PreconditionError& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return expr::run_main(argc, argv, run); }
